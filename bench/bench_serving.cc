@@ -227,10 +227,9 @@ main(int argc, char **argv)
     Options defaults;
     defaults.out = "BENCH_serving.json";
     defaults.schema = "simdram-bench-serving-v1";
-    simdram::bench::Harness h(
-        simdram::bench::parseArgs(argc, argv, defaults));
     const Options opts =
         simdram::bench::parseArgs(argc, argv, defaults);
+    simdram::bench::Harness h(opts);
 
     const KnnServeSpec spec = servingSpec();
     const auto refs = makeRefs(spec);

@@ -10,7 +10,8 @@
  * (the standard microbenchmark estimator: least-disturbed run), and
  * writes machine-readable JSON — BENCH_kernels.json — including
  * named speedup pairs so the perf trajectory of a kernel vs. its
- * retained reference path is tracked across PRs.
+ * retained reference path is tracked across PRs. The JSON header
+ * records the host core count (host_cores).
  *
  * Usage:
  *   Harness h(parseArgs(argc, argv));
@@ -35,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace simdram
@@ -246,6 +248,10 @@ class Harness
         os << "{\n  \"schema\": \"" << opts_.schema << "\",\n";
         os << "  \"mode\": \"" << (opts_.smoke ? "smoke" : "full")
            << "\",\n";
+        // Wall-clock results only compare between hosts with the
+        // same number of cores backing the worker threads.
+        os << "  \"host_cores\": " << std::thread::hardware_concurrency()
+           << ",\n";
         // SIMDRAM_USE_AVX2 is a PUBLIC define of the simdram target:
         // it reports whether the *library kernels* were built with
         // the AVX2 intrinsic path (this TU itself is not compiled

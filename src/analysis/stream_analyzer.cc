@@ -34,16 +34,12 @@ struct ObjState
      *  (or the entry view reported the object vertical). */
     bool vflag = false;
     /**
-     * Hoisting-pass facts, tracked with EXACTLY the hoistPass state
-     * machine (src/stream/passes.cc) so the Redundant* rules fire
-     * precisely when the optimizer would elide: mirror = the two
-     * images coincide; hasConst = both hold constVal everywhere.
-     * Entry is all-false even in FromView mode — cross-submission
-     * redundancy is the runtime stream cache's job, not the lint's.
+     * The redundancy fact, evolved by the shared applyFact() so the
+     * Redundant* rules are isRedundant() itself (src/stream/passes.h).
+     * Entry is all-unknown even in FromView mode — cross-submission
+     * redundancy is the executor's stream cache, not the lint's.
      */
-    bool mirror = false;
-    bool hasConst = false;
-    uint64_t constVal = 0;
+    RedundancyFact fact;
     /** Last writer node per location, for DeadWrite attribution. */
     size_t lastWriterVert = kNoNode;
     size_t lastWriterHost = kNoNode;
@@ -241,29 +237,22 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
                          std::to_string(n) + ")");
             }
 
-            // Redundant trsp/trsp_inv/init: fire exactly when the
-            // hoisting pass would have elided the instruction.
-            if ((in.opcode == BbopOpcode::Trsp ||
-                 in.opcode == BbopOpcode::TrspInv) &&
-                st[in.dst].mirror) {
-                emit(LintRule::RedundantTrsp, LintSeverity::Warning,
-                     n, in.dst,
-                     toAsm(in) +
-                         " images already coincide; the hoisting "
-                         "pass should have elided this (node " +
-                         std::to_string(n) + ")");
-            }
-            if (in.opcode == BbopOpcode::Init) {
-                const ObjState &s = st[in.dst];
-                if (s.mirror && s.hasConst &&
-                    s.constVal == in.initImmediate()) {
+            // Redundant trsp/trsp_inv/init: the hoisting pass's rule.
+            if (isRedundant(st[in.dst].fact, in)) {
+                if (in.opcode == BbopOpcode::Init)
                     emit(LintRule::RedundantInit,
                          LintSeverity::Warning, n, in.dst,
                          toAsm(in) + " rebroadcasts constant " +
                              std::to_string(in.initImmediate()) +
                              " already in place (node " +
                              std::to_string(n) + ")");
-                }
+                else
+                    emit(LintRule::RedundantTrsp,
+                         LintSeverity::Warning, n, in.dst,
+                         toAsm(in) +
+                             " images already coincide; the hoisting "
+                             "pass should have elided this (node " +
+                             std::to_string(n) + ")");
             }
 
             // Read rules + the per-read facts translation validation
@@ -305,8 +294,8 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
                                  : (ls == LocState::Stale
                                         ? LocDefinedness::Stale
                                         : LocDefinedness::Current),
-                             layoutOf(s), s.hasConst,
-                             s.hasConst ? s.constVal : 0});
+                             layoutOf(s), s.fact.hasConst,
+                             s.fact.hasConst ? s.fact.constVal : 0});
             }
         }
 
@@ -366,53 +355,28 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
         // location, and the transposition opcodes SYNC the two
         // images, so after them both locations hold the (new) current
         // value — even when the source image was stale: the copy
-        // makes that stale data the object's value.
+        // makes that stale data the object's value. A redundant
+        // instruction leaves the redundancy fact alone, so removing
+        // it passes translation validation.
+        ObjState &s = st[in.dst];
+        applyFact(s.fact, in);
+        s.vert = LocState::Current;
         switch (in.opcode) {
-          case BbopOpcode::Trsp: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
+          case BbopOpcode::Trsp:
+          case BbopOpcode::Init:
             s.host = LocState::Current;
-            s.mirror = true; // hasConst unchanged, as in hoistPass
             s.vflag = true;
             break;
-          }
-          case BbopOpcode::TrspInv: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
+          case BbopOpcode::TrspInv:
             s.host = LocState::Current;
-            // Clear const-ness only when the images did NOT already
-            // coincide (the hoistPass rule): a redundant trsp_inv is
-            // an identity and must not perturb the facts, or the
-            // hoisting pass would (falsely) fail translation
-            // validation by removing it.
-            if (!s.mirror) {
-                s.mirror = true;
-                s.hasConst = false;
-            }
             break;
-          }
-          case BbopOpcode::Init: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
-            s.host = LocState::Current;
-            s.mirror = true;
-            s.hasConst = true;
-            s.constVal = in.initImmediate();
-            s.vflag = true;
-            break;
-          }
           case BbopOpcode::Op:
           case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
+          case BbopOpcode::ShiftR:
             if (s.host == LocState::Current)
                 s.host = LocState::Stale;
-            s.mirror = false;
-            s.hasConst = false;
             s.vflag = true;
             break;
-          }
         }
     }
 
@@ -420,8 +384,8 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
     for (size_t i = 0; i < n_obj; ++i) {
         const ObjState &s = st[i];
         res.exitState[i] = AbstractObjectState{
-            definednessOf(s), layoutOf(s), s.hasConst,
-            s.hasConst ? s.constVal : 0, s.lastWriter};
+            definednessOf(s), layoutOf(s), s.fact.hasConst,
+            s.fact.hasConst ? s.fact.constVal : 0, s.lastWriter};
     }
     return res;
 }

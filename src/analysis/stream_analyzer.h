@@ -21,7 +21,9 @@
  *    executor's layout commit rules (full vertical writes establish
  *    the vertical layout);
  *  - const-ness   — whether both images provably hold one broadcast
- *    constant (the same facts the trsp/init hoisting pass computes);
+ *    constant (the hoisting pass's RedundancyFact, evolved by the
+ *    same applyFact(); the redundant-trsp/redundant-init rules are
+ *    its isRedundant());
  *  - last writer  — the node index that last wrote each location.
  *
  * Lint rules evaluate against that state and emit typed

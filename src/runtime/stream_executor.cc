@@ -49,8 +49,13 @@ struct StreamExecutor::Object
     ShardedVec vec;
     /** Layout shadow state, guarded by submit_mu_. */
     bool vertical = false;
-    /** Stream-cache shadow state, guarded by submit_mu_. */
-    CacheState cache;
+    /**
+     * Stream-cache entry fact, guarded by submit_mu_: the redundancy
+     * fact accepted submissions left behind. Its mirror only holds
+     * while the vector's mutation generation still equals cleanGen.
+     */
+    RedundancyFact cache;
+    uint64_t cleanGen = 0;
     /**
      * Tombstone set by releaseObject(): the group allocation is gone
      * and every further reference to the id is a typed BbopError.
@@ -68,8 +73,6 @@ struct StreamExecutor::Object
 struct StreamExecutor::PreparedInstr
 {
     BbopInstr instr;
-    /** Elided by the stream cache: workers skip it entirely. */
-    bool skip = false;
     Object *dst = nullptr;
     Object *src1 = nullptr;
     Object *src2 = nullptr;
@@ -85,7 +88,7 @@ struct StreamExecutor::Worker
     struct Job
     {
         std::shared_ptr<detail::StreamState> state;
-        std::shared_ptr<const std::vector<PreparedInstr>> prog;
+        PreparedProgram prog;
     };
 
     std::thread th;
@@ -349,7 +352,7 @@ StreamExecutor::releaseObject(uint16_t id)
     obj.vec = ShardedVec{};
     obj.hostImage = std::vector<uint64_t>();
     obj.vertical = false;
-    obj.cache = CacheState{};
+    obj.cache = RedundancyFact{};
 }
 
 void
@@ -373,10 +376,10 @@ StreamExecutor::writeObject(uint16_t id,
         // means a subsequent trsp of this object is redundant and
         // the stream cache may elide it.
         group_->store(obj.vec, obj.hostImage);
-        obj.cache.vertClean = true;
-        obj.cache.cleanGen = group_->mutationGen(obj.vec);
+        obj.cache.mirror = true;
+        obj.cleanGen = group_->mutationGen(obj.vec);
     } else {
-        obj.cache.vertClean = false;
+        obj.cache.mirror = false;
     }
 }
 
@@ -389,15 +392,13 @@ StreamExecutor::readObject(uint16_t id)
     return object(id).hostImage;
 }
 
-StreamExecutor::PreparedSegment
+StreamExecutor::PreparedProgram
 StreamExecutor::resolveSegment(
     const std::vector<BbopInstr> &seg,
-    std::vector<CacheState> &cache,
     std::map<const Object *, PreparedInstrViews> &view_cache)
 {
-    // The segment has already been validated (twice: the original
-    // program, then the optimized lowering — see submitLocked); this
-    // only resolves operands and decides stream-cache elisions.
+    // The segment is part of the validated, optimized program (see
+    // submitLocked); this only resolves operands.
 
     // Shard geometry is immutable after alloc(), so resolve each
     // distinct object's per-device views once per submission; the
@@ -418,16 +419,6 @@ StreamExecutor::resolveSegment(
                      .first;
         }
         return it->second;
-    };
-
-    size_t cached_trsp = 0;
-    size_t cached_init = 0;
-    const bool use_cache = opts_.enableStreamCache;
-    // An entry is only trustworthy while no out-of-band DeviceGroup
-    // write touched the backing vector since it was recorded.
-    auto cacheValid = [&](const Object *o, const CacheState &cs) {
-        return cs.vertClean &&
-               cs.cleanGen == group_->mutationGen(o->vec);
     };
 
     std::vector<PreparedInstr> out;
@@ -459,57 +450,6 @@ StreamExecutor::resolveSegment(
           }
         }
 
-        // Stream-cache decision (submission order == execution
-        // order, so this pass sees exactly the state each
-        // instruction will observe). A redundant trsp/trsp_inv/init
-        // is marked skip; every executed instruction updates the
-        // scratch shadow.
-        switch (in.opcode) {
-          case BbopOpcode::Trsp:
-          case BbopOpcode::TrspInv: {
-            CacheState &cs = cache[in.dst];
-            if (use_cache && cacheValid(pi.dst, cs)) {
-                // Vertical and horizontal images already coincide:
-                // re-running either transposition rewrites identical
-                // data.
-                pi.skip = true;
-                ++cached_trsp;
-                break;
-            }
-            if (in.opcode == BbopOpcode::TrspInv)
-                cs.hasConst = false; // host := unknown vertical data
-            cs.vertClean = true;
-            cs.cleanGen = group_->mutationGen(pi.dst->vec);
-            break;
-          }
-          case BbopOpcode::Init: {
-            CacheState &cs = cache[in.dst];
-            const uint64_t imm = in.initImmediate();
-            if (use_cache && cacheValid(pi.dst, cs) && cs.hasConst &&
-                cs.constVal == imm) {
-                pi.skip = true;
-                ++cached_init;
-                break;
-            }
-            cs.hasConst = true;
-            cs.constVal = imm;
-            cs.vertClean = true;
-            cs.cleanGen = group_->mutationGen(pi.dst->vec);
-            break;
-          }
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR:
-          case BbopOpcode::Op: {
-            // The op writes the destination's vertical storage only:
-            // the horizontal image goes stale and any constant-ness
-            // is gone.
-            CacheState &cs = cache[in.dst];
-            cs.vertClean = false;
-            cs.hasConst = false;
-            break;
-          }
-        }
-
         // Attach every operand's per-device shard views, so the
         // workers never touch group bookkeeping.
         if (pi.dst != nullptr)
@@ -523,12 +463,8 @@ StreamExecutor::resolveSegment(
         out.push_back(std::move(pi));
     }
 
-    PreparedSegment p;
-    p.prog = std::make_shared<const std::vector<PreparedInstr>>(
+    return std::make_shared<const std::vector<PreparedInstr>>(
         std::move(out));
-    p.cachedTrsp = cached_trsp;
-    p.cachedInit = cached_init;
-    return p;
 }
 
 void
@@ -613,6 +549,12 @@ StreamExecutor::submitLocked(const StreamIR &ir,
                 "StreamExecutor: translation validation failed: " +
                 tv.failures.front().message);
         pstats = tv.stats;
+        // Passes preserve validity and the final layout state (see
+        // passes.h); machine-check that on the optimized lowering.
+        BbopValidator recheck(*this);
+        for (const auto &seg : opt.lower())
+            for (const auto &in : seg)
+                recheck.check(in);
     } else {
         pstats = runPasses(opt, popts);
     }
@@ -639,37 +581,70 @@ StreamExecutor::submitLocked(const StreamIR &ir,
         lint = std::move(ar.diagnostics);
     }
 
-    // Lower and re-validate the optimized concatenation: passes must
-    // preserve validity and the final layout state (see passes.h), so
-    // this is purely a safety net against pass bugs.
-    const auto segs = opt.lower();
-    {
-        BbopValidator recheck(*this);
-        for (const auto &seg : segs)
-            for (const auto &in : seg)
-                recheck.check(in);
-    }
-
     // Per-final-segment as-submitted and pass-removed counts. A fused
     // segment's handle covers every original node folded into it.
-    std::vector<size_t> original(opt.segments, 0);
-    std::vector<size_t> removed(opt.segments, 0);
+    std::vector<StreamResult> results(opt.segments);
     for (const auto &n : opt.nodes) {
-        ++original[n.segment];
+        ++results[n.segment].instructions;
         if (n.dead)
-            ++removed[n.segment];
+            ++results[n.segment].optimizedInstructions;
     }
 
-    // Resolve every segment against one shared stream-cache scratch
-    // (committed only on acceptance) and one shared view cache.
-    std::vector<CacheState> cache(objects_.size());
-    for (size_t i = 0; i < objects_.size(); ++i)
-        cache[i] = objects_[i]->cache;
+    // Stream cache: elide once more with the hoisting rule over the
+    // surviving nodes, in the order lower() dispatches them, starting
+    // from the facts earlier submissions left behind. Only the
+    // destinations of surviving nodes are consulted, so only they are
+    // seeded — a mirror only while no out-of-band write has bumped the
+    // vector's generation since — and only they are committed below.
+    std::vector<RedundancyFact> facts;
+    std::vector<uint64_t> gens; // read at seeding, for entry mirrors
+    std::vector<uint16_t> seeded;
+    if (opts_.enableStreamCache) {
+        std::vector<size_t> order;
+        order.reserve(opt.nodes.size());
+        for (size_t n = 0; n < opt.nodes.size(); ++n)
+            if (!opt.nodes[n].dead)
+                order.push_back(n);
+        const auto bySegment = [&](size_t x, size_t y) {
+            return opt.nodes[x].segment < opt.nodes[y].segment;
+        };
+        if (!std::is_sorted(order.begin(), order.end(), bySegment))
+            std::stable_sort(order.begin(), order.end(), bySegment);
+        facts.resize(objects_.size());
+        gens.resize(objects_.size());
+        std::vector<uint8_t> isSeeded(objects_.size(), 0);
+        for (size_t n : order) {
+            const uint16_t id = opt.nodes[n].instr.dst;
+            if (isSeeded[id])
+                continue;
+            isSeeded[id] = 1;
+            seeded.push_back(id);
+            const Object &o = *objects_[id];
+            facts[id] = o.cache;
+            if (o.cache.mirror) {
+                gens[id] = group_->mutationGen(o.vec);
+                facts[id].mirror = o.cleanGen == gens[id];
+            }
+        }
+        elideRedundant(opt, order, facts);
+        for (size_t n : order) {
+            if (!opt.nodes[n].dead)
+                continue;
+            StreamResult &r = results[opt.nodes[n].segment];
+            ++r.cachedInstructions;
+            ++(opt.nodes[n].instr.opcode == BbopOpcode::Init
+                   ? r.cachedInitInstructions
+                   : r.cachedTrspInstructions);
+        }
+    }
+
+    // Resolve every surviving segment against one shared view cache.
+    const auto segs = opt.lower();
     std::map<const Object *, PreparedInstrViews> views;
-    std::vector<PreparedSegment> prepared;
+    std::vector<PreparedProgram> prepared;
     prepared.reserve(segs.size());
     for (const auto &seg : segs)
-        prepared.push_back(resolveSegment(seg, cache, views));
+        prepared.push_back(resolveSegment(seg, views));
 
     // Apply Reject backpressure BEFORE committing anything: a
     // submission turned away by a full queue must be as
@@ -679,18 +654,26 @@ StreamExecutor::submitLocked(const StreamIR &ir,
     reserveQueueSpace(segs.size());
 
     // Accepted: commit the layout of the ORIGINAL program (passes
-    // preserve the final layout state) and the cache shadows.
+    // preserve the final layout state) and the exit facts.
     const std::vector<bool> &layout = validator.layout();
-    for (size_t i = 0; i < objects_.size(); ++i) {
+    for (size_t i = 0; i < objects_.size(); ++i)
         objects_[i]->vertical = layout[i];
-        objects_[i]->cache = cache[i];
+    for (uint16_t id : seeded) {
+        // An exit mirror this program's own trsp/init will establish
+        // is current as of now; an entry mirror is as of seeding, so
+        // a write that raced this submit still invalidates it.
+        Object &o = *objects_[id];
+        if (facts[id].mirror)
+            o.cleanGen = o.cache.mirror ? gens[id]
+                                        : group_->mutationGen(o.vec);
+        o.cache = facts[id];
     }
     // Single writer (submit_mu_ held), lock-free readers: relaxed
     // read-modify-writes are race-free and never lost.
-    for (const auto &p : prepared) {
-        cache_trsp_hits_.fetch_add(p.cachedTrsp,
+    for (const StreamResult &r : results) {
+        cache_trsp_hits_.fetch_add(r.cachedTrspInstructions,
                                    std::memory_order_relaxed);
-        cache_init_hits_.fetch_add(p.cachedInit,
+        cache_init_hits_.fetch_add(r.cachedInitInstructions,
                                    std::memory_order_relaxed);
     }
     optimized_count_.fetch_add(pstats.removed(),
@@ -728,12 +711,7 @@ StreamExecutor::submitLocked(const StreamIR &ir,
 
         auto st = std::make_shared<detail::StreamState>();
         st->remaining = workers_.size();
-        st->result.instructions = original[s];
-        st->result.optimizedInstructions = removed[s];
-        st->result.cachedTrspInstructions = prepared[s].cachedTrsp;
-        st->result.cachedInitInstructions = prepared[s].cachedInit;
-        st->result.cachedInstructions =
-            prepared[s].cachedTrsp + prepared[s].cachedInit;
+        st->result = results[s];
         st->result.backpressureWaitNs = blockedNs;
         st->seq = stream_seq_.fetch_add(1, std::memory_order_relaxed);
         // Every segment's stream clock is anchored at the SUBMIT
@@ -747,7 +725,7 @@ StreamExecutor::submitLocked(const StreamIR &ir,
         size_t depth = 0;
         for (auto &w : workers_) {
             std::lock_guard<std::mutex> wl(w->mu);
-            w->q.push_back(Worker::Job{st, prepared[s].prog});
+            w->q.push_back(Worker::Job{st, prepared[s]});
             depth = std::max(depth, w->q.size());
             w->cv.notify_one();
         }
@@ -818,6 +796,15 @@ StreamExecutor::workerMain(size_t d)
                          faults, recoveredOn);
             dcompute = diff(group_->deviceComputeStats(d), c0);
             dtransfer = diff(group_->deviceTransferStats(d), t0);
+        }
+        if (err) {
+            // The stream's writes did not all happen here (it failed
+            // before running, part way, or was rolled back), yet the
+            // cache facts committed at submit assume they did. Bump
+            // every written object's generation so later submissions
+            // stop trusting those facts.
+            for (const PreparedInstr &pi : *job.prog)
+                group_->noteExternalMutation(pi.dst->vec);
         }
 
         {
@@ -1031,8 +1018,6 @@ StreamExecutor::prepareShadow(size_t d,
     // owns a disjoint slice, so host-image updates compose exactly.
     for (size_t i = 0; i < prog.size(); ++i) {
         const PreparedInstr &pi = prog[i];
-        if (pi.skip)
-            continue;
         const DeviceGroup::ShardView &dv = (*pi.dstV)[d];
         if (dv.count == 0)
             continue; // execOn skips the whole instruction too
@@ -1127,8 +1112,7 @@ StreamExecutor::executeChecked(size_t d,
     for (size_t i = 0; i < prog.size(); ++i) {
         const PreparedInstr &pi = prog[i];
         execOn(d, pi);
-        if (!dual || pi.skip ||
-            pi.instr.opcode != BbopOpcode::Op)
+        if (!dual || pi.instr.opcode != BbopOpcode::Op)
             continue;
         const DeviceGroup::ShardView &dv = (*pi.dstV)[d];
         if (dv.count == 0)
@@ -1178,8 +1162,6 @@ StreamExecutor::fallbackJob(size_t d,
                             int &recoveredOn)
 {
     for (const PreparedInstr &pi : prog) {
-        if (pi.skip)
-            continue;
         const DeviceGroup::ShardView &dv = (*pi.dstV)[d];
         if (dv.count == 0)
             continue;
@@ -1282,8 +1264,6 @@ StreamExecutor::fallbackJob(size_t d,
 void
 StreamExecutor::execOn(size_t d, const PreparedInstr &pi)
 {
-    if (pi.skip)
-        return; // elided by the stream cache
     const BbopInstr &in = pi.instr;
     const DeviceGroup::ShardView &dst = (*pi.dstV)[d];
     if (dst.count == 0)

@@ -44,17 +44,6 @@
  *    concurrently), plus submit-to-completion wall time.
  *  - writeObject()/readObject() synchronize (drain all pending
  *    streams) before touching host images.
- *  - Stream cache (StreamExecutorOptions::enableStreamCache, on by
- *    default): repeated bbop_trsp / bbop_trsp_inv / bbop_init of
- *    objects whose tracked state proves them redundant are elided at
- *    submit() time — within one stream and across streams — with
- *    generation-tagged invalidation on every write (bbop op/shift/
- *    init outputs, writeObject, and out-of-band DeviceGroup writes
- *    via mutationGen()). Memory state is bit-exact with the cache
- *    off; only the per-stream DramStats shrink. Pipelined apps that
- *    resubmit self-contained streams (knn re-transposing its
- *    reference set per query, nn re-broadcasting weights per tile)
- *    stop paying for data that has not changed.
  *  - Optimizer passes (src/stream/passes.h): every submitted program
  *    — a raw instruction vector lifted to a one-segment StreamIR, or
  *    a multi-segment IR from StreamBuilder — runs through the pass
@@ -65,6 +54,19 @@
  *    The ORIGINAL program is what submit() validates (atomic reject),
  *    and passes preserve both memory state and final layout state,
  *    so optimization is invisible except in statistics.
+ *  - Stream cache (StreamExecutorOptions::enableStreamCache, on by
+ *    default): each object keeps the redundancy fact (passes.h) its
+ *    last accepted submission left behind, and the next submission
+ *    runs the hoisting rule once more over its surviving
+ *    instructions, starting from those facts instead of from
+ *    nothing. A fact stops counting as a mirror once the vector's
+ *    mutationGen() moves: an out-of-band DeviceGroup write, a
+ *    rollback, or a stream that failed. Memory state
+ *    is bit-exact with the cache off; only the per-stream DramStats
+ *    shrink. Pipelined apps that resubmit self-contained streams
+ *    (knn re-transposing its reference set per query, nn
+ *    re-broadcasting weights per tile) stop paying for data that has
+ *    not changed.
  *  - Static analysis (src/analysis, StreamExecutorOptions::lintMode):
  *    Warn runs the dataflow lint at submit time and accumulates
  *    typed diagnostics (wait-free lintDiagnosticCount(), drained via
@@ -179,7 +181,8 @@ class StreamFaultError : public FatalError
     /** @return The submission sequence number of the stream. */
     uint64_t streamSeq() const { return streamSeq_; }
 
-    /** @return Index (in the dispatched program) of the instruction
+    /** @return Index (in the dispatched program: the segment after
+     *          pass removals and cache elisions) of the instruction
      *          whose output failed verification. */
     size_t opIndex() const { return opIndex_; }
 
@@ -258,29 +261,32 @@ struct StreamExecutorOptions
     /** Behaviour when a bounded queue is full at submit(). */
     BackpressurePolicy onFull = BackpressurePolicy::Block;
     /**
-     * Stream-level trsp/init cache: when enabled, submit() elides
-     * instructions that are provably redundant against the objects'
-     * tracked layout/content state — a bbop_trsp (or trsp_inv) of an
-     * object whose vertical and horizontal images are already
-     * coherent, or a bbop_init re-broadcasting the value the object
-     * already holds everywhere. Elision is decided in submission
-     * order, tagged with the DeviceGroup mutation generation of the
-     * backing vector (any out-of-band synchronous write invalidates),
-     * and is invisible except in statistics: memory state is
-     * bit-exact with the cache disabled, per-stream DramStats simply
-     * stop paying for re-transposes of unchanged data. Skipped
-     * instructions are reported in StreamResult::cachedInstructions.
+     * Cross-submission trsp/init elision: after the passes and the
+     * lint, submit() runs the hoisting rule (src/stream/passes.h)
+     * over the surviving instructions in dispatch order, with each
+     * object's entry fact taken from what earlier accepted
+     * submissions left behind — so a bbop_trsp (or trsp_inv) of an
+     * object whose images already coincide, or a bbop_init of the
+     * constant it already holds, is elided even when the instruction
+     * that put it in place ran in an earlier stream. A fact counts as
+     * a mirror only while the backing vector's DeviceGroup mutation
+     * generation is unchanged (any out-of-band synchronous write
+     * invalidates it). Invisible except in statistics: memory state
+     * is bit-exact with the cache disabled. Elided instructions are
+     * reported in StreamResult::cachedInstructions, not in
+     * optimizedInstructions.
      */
     bool enableStreamCache = true;
     /**
      * Optimizer pass toggles (src/stream/passes.h), each independent:
      * fusion merges adjacent submitted segments sharing an operand
      * into one device pass; dead-write elimination drops writes
-     * overwritten before any read; trsp hoisting statically removes
+     * overwritten before any read; trsp hoisting removes
      * transposes/inits whose effect is already in place within the
-     * submitted program (the stream cache above remains the dynamic,
-     * cross-submission backstop). All three preserve memory state and
-     * final layout bit-exactly.
+     * submitted program, starting from all-unknown facts (the stream
+     * cache above applies the same rule from the cross-submission
+     * facts). All three preserve memory state and final layout
+     * bit-exactly.
      */
     bool enableFusion = true;
     bool enableDeadWriteElim = true;
@@ -303,9 +309,10 @@ struct StreamExecutorOptions
      * Translation validation: run the optimizer passes one at a time,
      * re-analyzing in between, and reject the submission with
      * PassValidationError if any pass changed the facts a surviving
-     * read observes (see runPassesValidated). The resulting program
+     * read observes (see runPassesValidated); then re-validate the
+     * optimized lowering with the BbopValidator. The resulting program
      * is identical to the normal pipeline's; this only adds the
-     * machine check. Off by default — it triples the submit-time
+     * machine checks. Off by default — it triples the submit-time
      * analysis cost; tests and benches turn it on.
      */
     bool validatePasses = false;
@@ -679,32 +686,9 @@ class StreamExecutor : public StreamService, private BbopObjectView
     using PreparedInstrViews =
         std::shared_ptr<const std::vector<DeviceGroup::ShardView>>;
 
-    /**
-     * Cache-relevant shadow state of one object, tracked in
-     * submission order under submit_mu_ (which matches execution:
-     * every device runs streams in submission order, and host
-     * accesses drain first).
-     */
-    struct CacheState
-    {
-        /** Vertical storage holds exactly the horizontal image. */
-        bool vertClean = false;
-        /** Both images hold the broadcast constant constVal. */
-        bool hasConst = false;
-        uint64_t constVal = 0;
-        /** DeviceGroup::mutationGen() when vertClean was set. */
-        uint64_t cleanGen = 0;
-    };
-
-    /** One lowered segment, resolved but not yet committed. */
-    struct PreparedSegment
-    {
-        std::shared_ptr<const std::vector<PreparedInstr>> prog;
-        /** trsp/trsp_inv elisions by the stream cache. */
-        size_t cachedTrsp = 0;
-        /** bbop_init elisions by the stream cache. */
-        size_t cachedInit = 0;
-    };
+    /** One dispatched segment, operands resolved. */
+    using PreparedProgram =
+        std::shared_ptr<const std::vector<PreparedInstr>>;
 
     Object &object(uint16_t id) SIMDRAM_REQUIRES(submit_mu_);
 
@@ -722,14 +706,12 @@ class StreamExecutor : public StreamService, private BbopObjectView
 
     /**
      * Resolves one already-validated segment into per-instruction
-     * object pointers and shard views, deciding stream-cache elisions
-     * against @p cache (a scratch copy of the per-object shadows,
-     * shared across a submission's segments and committed by the
-     * caller only on acceptance). Touches no executor state.
+     * object pointers and shard views (@p views caches them per
+     * object across a submission's segments). Touches no executor
+     * state.
      */
-    PreparedSegment resolveSegment(
+    PreparedProgram resolveSegment(
         const std::vector<BbopInstr> &seg,
-        std::vector<CacheState> &cache,
         std::map<const Object *, PreparedInstrViews> &views)
         SIMDRAM_REQUIRES(submit_mu_);
 
@@ -811,7 +793,7 @@ class StreamExecutor : public StreamService, private BbopObjectView
     std::vector<std::unique_ptr<Worker>> workers_;
     /** Serializes submit()/defineObject() and the object table. */
     mutable Mutex submit_mu_;
-    /** The object table, including per-object shadow state. */
+    /** The object table, including per-object layout and cache facts. */
     std::vector<std::unique_ptr<Object>> objects_
         SIMDRAM_GUARDED_BY(submit_mu_);
     /** Lint findings accumulated by Warn/Strict submissions, in

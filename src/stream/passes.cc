@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 namespace simdram
@@ -26,77 +27,17 @@ objectBound(const StreamIR &ir)
 }
 
 /**
- * Forward scan removing trsp/trsp_inv/init instructions whose effect
- * is already in place. Tracks, per object, whether the vertical and
- * host images coincide and whether they hold a known broadcast
- * constant — the same state machine as the runtime stream cache
- * (stream_executor.cc), but static over the whole submitted program,
- * so it fires within one submission where the runtime cache only
- * fires across them. Entry state is all-unknown: nothing is assumed
- * about images produced before this program.
+ * Elides redundant trsp/trsp_inv/init instructions in program order.
+ * Entry facts are all-unknown: nothing is assumed about images
+ * produced before this program (across submissions, that is the
+ * executor's stream cache).
  */
 size_t
 hoistPass(StreamIR &ir)
 {
-    struct Fact
-    {
-        bool mirror = false;   ///< vert image == host image.
-        bool hasConst = false; ///< Both hold this broadcast constant.
-        uint64_t constVal = 0;
-    };
-    std::vector<Fact> facts(objectBound(ir));
-
-    size_t hoisted = 0;
-    for (auto &n : ir.nodes) {
-        if (n.dead)
-            continue;
-        const BbopInstr &in = n.instr;
-        switch (in.opcode) {
-          case BbopOpcode::Trsp: {
-            Fact &f = facts[in.dst];
-            if (f.mirror) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-            }
-            break;
-          }
-          case BbopOpcode::TrspInv: {
-            Fact &f = facts[in.dst];
-            if (f.mirror) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-                f.hasConst = false;
-            }
-            break;
-          }
-          case BbopOpcode::Init: {
-            Fact &f = facts[in.dst];
-            const uint64_t imm = in.initImmediate();
-            if (f.mirror && f.hasConst && f.constVal == imm) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-                f.hasConst = true;
-                f.constVal = imm;
-            }
-            break;
-          }
-          case BbopOpcode::Op:
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR: {
-            Fact &f = facts[in.dst];
-            f.mirror = false;
-            f.hasConst = false;
-            break;
-          }
-        }
-    }
-    return hoisted;
+    std::vector<RedundancyFact> facts(objectBound(ir));
+    return elideRedundant(
+        ir, std::views::iota(size_t{0}, ir.nodes.size()), facts);
 }
 
 /**
@@ -203,6 +144,51 @@ fusionPass(StreamIR &ir)
 }
 
 } // namespace
+
+bool
+isRedundant(const RedundancyFact &f, const BbopInstr &in)
+{
+    switch (in.opcode) {
+      case BbopOpcode::Trsp:
+      case BbopOpcode::TrspInv:
+        return f.mirror;
+      case BbopOpcode::Init:
+        return f.mirror && f.hasConst &&
+               f.constVal == in.initImmediate();
+      case BbopOpcode::Op:
+      case BbopOpcode::ShiftL:
+      case BbopOpcode::ShiftR:
+        break;
+    }
+    return false;
+}
+
+void
+applyFact(RedundancyFact &f, const BbopInstr &in)
+{
+    if (isRedundant(f, in))
+        return;
+    switch (in.opcode) {
+      case BbopOpcode::Trsp:
+        // vertical := host, so a constant host image now fills both.
+        f.mirror = true;
+        break;
+      case BbopOpcode::TrspInv:
+        // host := vertical, whose content is unknown.
+        f.mirror = true;
+        f.hasConst = false;
+        break;
+      case BbopOpcode::Init:
+        f = RedundancyFact{true, true, in.initImmediate()};
+        break;
+      case BbopOpcode::Op:
+      case BbopOpcode::ShiftL:
+      case BbopOpcode::ShiftR:
+        // Only the vertical image is written: the images diverge.
+        f = RedundancyFact{};
+        break;
+    }
+}
 
 PassStats
 runPasses(StreamIR &ir, const PassOptions &opts)

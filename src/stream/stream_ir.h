@@ -32,7 +32,7 @@ struct StreamNode
 {
     BbopInstr instr;
     size_t segment = 0; ///< Which device pass this belongs to.
-    bool dead = false;  ///< Set by passes; skipped by lower().
+    bool dead = false;  ///< Set by elisions; skipped by lower().
 };
 
 /** A multi-segment bbop program in optimizer form. */

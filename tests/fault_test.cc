@@ -355,6 +355,38 @@ TEST(FaultTolerance, DeadlineExpiryIsTypedUnderAStalledDevice)
     EXPECT_THROW(h.wait(), StreamDeadlineError);
 }
 
+TEST(FaultTolerance, DeadlineFailureInvalidatesTheStreamCache)
+{
+    // The stalled device fails the stream at its first deadline check
+    // without running it and without a rollback, yet the submission
+    // committed "a and y are transposed" cache facts. Unless the
+    // failure invalidates them, the resubmission below elides both
+    // trsps and device 0 adds lanes that were never transposed.
+    DeviceGroup g(testCfg(), 2);
+    StreamExecutor ex(g, faultOpts(IntegrityMode::Off, /*attempts=*/1,
+                                   /*quarantine=*/0,
+                                   /*deadlineUs=*/50e3));
+    const size_t n = 300; // shards on both devices
+    const auto da = randomData(n, 0xff, 59);
+    const uint16_t a = ex.defineObject(n, 8);
+    const uint16_t y = ex.defineObject(n, 8);
+    ex.writeObject(a, da);
+
+    StreamHandle h;
+    {
+        DevicePin pin(g, 0);
+        h = ex.submit(addStream(a, y));
+        EXPECT_FALSE(h.waitFor(100e3)); // pinned past the deadline
+    }
+    EXPECT_THROW(h.wait(), StreamDeadlineError);
+
+    const StreamResult r = ex.submit(addStream(a, y)).wait();
+    EXPECT_EQ(r.cachedInstructions, 0u);
+    const auto out = ex.readObject(y);
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_EQ(out[i], (da[i] * 2) & 0xff) << i;
+}
+
 TEST(FaultTolerance, WaitForIsANonConsumingReadinessProbe)
 {
     DeviceGroup g(testCfg(), 2);

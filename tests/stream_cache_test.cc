@@ -4,10 +4,10 @@
  * differential bit-exactness of a cached executor against an
  * uncached one over identical stream sequences, invalidation after
  * every kind of write (bbop op/shift/init outputs, writeObject),
- * the DeviceGroup mutation-generation tag, skip accounting, and the
- * knn/nn runtime paths' reduced trsp counts. Runs under
- * ThreadSanitizer in CI (the cache decision path is submit-side, the
- * skip path is worker-side).
+ * the DeviceGroup mutation-generation tag, elision accounting, the
+ * cache's place after the optimizer passes, and the knn/nn runtime
+ * paths' reduced trsp counts. Runs under ThreadSanitizer in CI (the
+ * cache decides at submit; the workers run what survives).
  */
 
 #include <gtest/gtest.h>
@@ -185,6 +185,61 @@ TEST(StreamCache, DeviceGroupMutationGenerationTracksWrites)
     g.run(OpKind::Add, y, a, b);
     EXPECT_GT(g.mutationGen(y), yg);
     EXPECT_EQ(g.mutationGen(a), g2);
+}
+
+// ---- Ordering: the cache elides after the passes, over survivors ----
+
+TEST(StreamCache, InitElisionRunsAfterDeadWriteElimination)
+{
+    // DWE removes the overwritten init a,5 first (a pass removal), so
+    // the cache only sees init a,7 and elides it against the fact the
+    // previous submission left. Were the cache to run first, init a,5
+    // would replace that fact and nothing could be elided.
+    DeviceGroup g(testCfg(), 2);
+    StreamExecutor ex(g);
+    const uint16_t a = ex.defineObject(300, 16);
+    ex.submit({BbopInstr::init(a, 16, 7)}).wait();
+
+    const StreamResult r = ex.submit({BbopInstr::init(a, 16, 5),
+                                      BbopInstr::init(a, 16, 7)})
+                               .wait();
+    EXPECT_EQ(r.instructions, 2u);
+    EXPECT_EQ(r.optimizedInstructions, 1u);
+    EXPECT_EQ(r.cachedInitInstructions, 1u);
+    EXPECT_EQ(r.cachedTrspInstructions, 0u);
+    EXPECT_EQ(r.cachedInstructions, 1u);
+    EXPECT_EQ(r.compute.aaps, 0u);
+    EXPECT_EQ(r.compute.aps, 0u);
+    EXPECT_EQ(r.compute.latencyNs, 0.0);
+    EXPECT_EQ(ex.optimizedInstructionCount(), 1u);
+    EXPECT_EQ(ex.cacheInitHits(), 1u);
+    for (uint64_t v : ex.readObject(a))
+        ASSERT_EQ(v, 7u);
+}
+
+TEST(StreamCache, TrspElisionRunsAfterHoisting)
+{
+    // Hoisting removes the second trsp a (a pass removal); the cache
+    // then elides the first against the previous submission's trsp.
+    DeviceGroup g(testCfg(), 2);
+    StreamExecutor ex(g);
+    const uint16_t a = ex.defineObject(300, 16);
+    const auto data = randomData(300, 0xffff, 9);
+    ex.writeObject(a, data);
+    ex.submit({BbopInstr::trsp(a, 16)}).wait();
+
+    const StreamResult r = ex.submit({BbopInstr::trsp(a, 16),
+                                      BbopInstr::trsp(a, 16)})
+                               .wait();
+    EXPECT_EQ(r.instructions, 2u);
+    EXPECT_EQ(r.optimizedInstructions, 1u);
+    EXPECT_EQ(r.cachedTrspInstructions, 1u);
+    EXPECT_EQ(r.cachedInitInstructions, 0u);
+    EXPECT_EQ(r.transfer.activates, 0u);
+    EXPECT_EQ(r.transfer.writes, 0u);
+    EXPECT_EQ(r.transfer.latencyNs, 0.0);
+    EXPECT_EQ(ex.cacheTrspHits(), 1u);
+    EXPECT_EQ(ex.readObject(a), data);
 }
 
 TEST_P(StreamCacheTest, MixedPipelineStaysBitExactUnderChurn)

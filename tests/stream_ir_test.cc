@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the stream IR layer (src/stream): effectsOf() read/write
- * sets, lift/lower round-trips, each optimizer pass in isolation
+ * sets, lift/lower round-trips, the redundancy rule that hoisting,
+ * the lint and the stream cache share, each optimizer pass in isolation
  * (trsp/init hoisting, dead-write elimination, segment fusion), the
  * StreamBuilder's width derivation and ping-pong accumulate helper,
  * the executor's pass toggles and split cache counters, and a
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "runtime/stream_executor.h"
@@ -115,6 +117,82 @@ TEST(StreamIRTest, LowerSkipsDeadAndKeepsEmptySegmentSlots)
     EXPECT_TRUE(segs[0].empty());
     ASSERT_EQ(segs[1].size(), 1u);
     EXPECT_EQ(ir.liveCount(), 1u);
+}
+
+// ---- The redundancy rule shared by hoisting, lint and the cache -----
+
+TEST(RedundancyRule, PropertiesHoldForEveryOpcodeAndFactState)
+{
+    const uint64_t c = 7;
+    const RedundancyFact states[] = {
+        {},                 // unknown
+        {true, false, 0},   // mirror
+        {true, true, c},    // mirror + const c
+        {true, true, c + 1}, // mirror + const != c
+        {false, true, c},   // host const c, vertical stale
+    };
+    const BbopInstr instrs[] = {
+        BbopInstr::trsp(0, 16),
+        BbopInstr::trspInv(0, 16),
+        BbopInstr::init(0, 16, c),
+        BbopInstr::unary(OpKind::Abs, 16, 0, 1),
+        BbopInstr::shift(true, 16, 0, 1, 3),
+        BbopInstr::shift(false, 16, 0, 1, 3),
+    };
+    for (const RedundancyFact &f0 : states) {
+        for (const BbopInstr &in : instrs) {
+            SCOPED_TRACE(toAsm(in) + " from mirror=" +
+                         std::to_string(f0.mirror) + " hasConst=" +
+                         std::to_string(f0.hasConst) + " constVal=" +
+                         std::to_string(f0.constVal));
+            RedundancyFact f = f0;
+            const bool redundant = isRedundant(f, in);
+            applyFact(f, in);
+            if (redundant) {
+                EXPECT_EQ(f, f0); // a no-op leaves the fact alone
+            }
+            switch (in.opcode) {
+              case BbopOpcode::Trsp:
+              case BbopOpcode::TrspInv:
+                EXPECT_EQ(redundant, f0.mirror);
+                EXPECT_TRUE(isRedundant(f, in)); // now in place
+                break;
+              case BbopOpcode::Init:
+                EXPECT_EQ(redundant, f0.mirror && f0.hasConst &&
+                                         f0.constVal == c);
+                EXPECT_TRUE(isRedundant(f, in));
+                break;
+              case BbopOpcode::Op:
+              case BbopOpcode::ShiftL:
+              case BbopOpcode::ShiftR:
+                EXPECT_FALSE(redundant);
+                EXPECT_FALSE(f.mirror);
+                EXPECT_FALSE(f.hasConst);
+                break;
+            }
+        }
+    }
+}
+
+TEST(RedundancyRule, ElisionStartsFromTheGivenEntryFacts)
+{
+    // The same program elides nothing from unknown facts, and both
+    // instructions when object 0 is known to hold the constant.
+    const StreamIR prog = StreamIR::lift({
+        BbopInstr::trsp(0, 16),
+        BbopInstr::init(0, 16, 4),
+    });
+    const std::vector<size_t> order = {0, 1};
+
+    StreamIR cold = prog;
+    std::vector<RedundancyFact> unknown(1);
+    EXPECT_EQ(elideRedundant(cold, order, unknown), 0u);
+    EXPECT_EQ(unknown[0], (RedundancyFact{true, true, 4}));
+
+    StreamIR warm = prog;
+    std::vector<RedundancyFact> known = {{true, true, 4}};
+    EXPECT_EQ(elideRedundant(warm, order, known), 2u);
+    EXPECT_EQ(warm.liveCount(), 0u);
 }
 
 // ---- The passes, each in isolation ----------------------------------
