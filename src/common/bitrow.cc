@@ -234,6 +234,20 @@ BitRow::copyFrom(const BitRow &src)
 }
 
 void
+BitRow::assignWords(const uint64_t *src, bool negate)
+{
+    const size_t n = wordCount();
+    if (n == 0)
+        return;
+    prepareOverwrite(width_);
+    uint64_t *d = words_.get();
+    const uint64_t mask = negate ? ~0ULL : 0ULL;
+    for (size_t i = 0; i < n; ++i)
+        d[i] = src[i] ^ mask;
+    d[n - 1] &= lastWordMask();
+}
+
+void
 BitRow::assignNot(const BitRow &src)
 {
     const uint64_t *s = src.words_.get();
@@ -292,6 +306,41 @@ BitRow::majority3Into(BitRow &out, const BitRow &a, const BitRow &b,
 #endif
     for (; i < n; ++i)
         o[i] = (x[i] & y[i]) | (y[i] & z[i]) | (x[i] & z[i]);
+}
+
+void
+BitRow::majority3Words(uint64_t *out, const uint64_t *a, uint64_t na,
+                       const uint64_t *b, uint64_t nb,
+                       const uint64_t *c, uint64_t nc, size_t n)
+{
+    size_t i = 0;
+#ifdef SIMDRAM_HAVE_AVX2_KERNELS
+    const __m256i ma = _mm256_set1_epi64x(static_cast<long long>(na));
+    const __m256i mb = _mm256_set1_epi64x(static_cast<long long>(nb));
+    const __m256i mc = _mm256_set1_epi64x(static_cast<long long>(nc));
+    for (; i + 4 <= n; i += 4) {
+        const __m256i vx = _mm256_xor_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i)),
+            ma);
+        const __m256i vy = _mm256_xor_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i)),
+            mb);
+        const __m256i vz = _mm256_xor_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(c + i)),
+            mc);
+        const __m256i r = _mm256_or_si256(
+            _mm256_or_si256(_mm256_and_si256(vx, vy),
+                            _mm256_and_si256(vy, vz)),
+            _mm256_and_si256(vx, vz));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), r);
+    }
+#endif
+    for (; i < n; ++i) {
+        const uint64_t x = a[i] ^ na;
+        const uint64_t y = b[i] ^ nb;
+        const uint64_t z = c[i] ^ nc;
+        out[i] = (x & y) | (y & z) | (x & z);
+    }
 }
 
 void

@@ -221,6 +221,27 @@ class BitRow
             detachCopy();
     }
 
+    /**
+     * @return True if no other row or copy holds this row's payload,
+     *         so an overwrite can reuse it in place. Width-0 rows
+     *         have no payload and are never unshared.
+     */
+    bool unshared() const
+    {
+        return words_ != nullptr && words_.use_count() == 1;
+    }
+
+    /** @return The backing words (read-only; wordCount() of them). */
+    const uint64_t *data() const { return words_.get(); }
+
+    /**
+     * Overwrites the contents with wordCount() words from @p src,
+     * complemented if @p negate (padding bits are cleared). Writes in
+     * place while the payload is unshared; a shared payload detaches
+     * to a fresh one, leaving the co-owners untouched.
+     */
+    void assignWords(const uint64_t *src, bool negate);
+
     /** @return A deep copy with its own unshared payload. */
     BitRow clone() const;
 
@@ -268,6 +289,19 @@ class BitRow
     /** out[i] = sel[i] ? t[i] : f[i], fused into @p out. */
     static void selectInto(BitRow &out, const BitRow &sel,
                            const BitRow &t, const BitRow &f);
+
+    /**
+     * Raw-word TRA kernel of the compiled μProgram replay:
+     * out[i] = MAJ(a[i] ^ na, b[i] ^ nb, c[i] ^ nc) over @p n words,
+     * where each mask is 0 or ~0 (a DCC negative port folded into
+     * the operand). @p out may alias any operand. Negated operands
+     * leave padding bits set; assignWords() clears them on the way
+     * back into a row.
+     */
+    static void majority3Words(uint64_t *out, const uint64_t *a,
+                               uint64_t na, const uint64_t *b,
+                               uint64_t nb, const uint64_t *c,
+                               uint64_t nc, size_t n);
 
     /**
      * Bitwise 3-input majority: out[i] = MAJ(a[i], b[i], c[i]).

@@ -84,24 +84,6 @@ Subarray::activateState(const RowAddr &addr)
             // baseline: a read through a row address materializes a
             // fresh unshared row even under CoW storage.
             buffer_.detach();
-        } else if (addr.kind == RowAddr::Kind::Triple &&
-                   tra_flip_p_ == 0.0 && injector_ == nullptr) {
-            // Fault-free TRA, fully fused: majority straight into the
-            // first activated cell (aliasing is element-wise safe),
-            // RowClone it into the other two, and leave the buffer as
-            // a view — one fewer row write than computing into the
-            // buffer and restoring all three.
-            const auto rows = tripleRows(addr.triple);
-            BitRow &r0 = specialCellMut(rows[0]);
-            BitRow &r1 = specialCellMut(rows[1]);
-            BitRow &r2 = specialCellMut(rows[2]);
-            BitRow::majority3Into(r0, r0, r1, r2);
-            r0.aapInto(r1);
-            r0.aapInto(r2);
-            buffer_view_ = &r0;
-            buffer_view_neg_ = false;
-            buffer_open_ = true;
-            return;
         } else {
             openBufferFast(addr);
         }
@@ -312,140 +294,13 @@ Subarray::apFunctional(const RowAddr &addr)
     buffer_open_ = false;
 }
 
-std::pair<const BitRow *, bool>
-Subarray::resolvePort(const RowAddr &addr)
+Subarray::Cells
+Subarray::replayCells()
 {
-    switch (addr.kind) {
-      case RowAddr::Kind::Data:
-        if (addr.dataRow >= data_.size())
-            panic("activate: data row out of range");
-        return {&data_[addr.dataRow], false};
-      case RowAddr::Kind::Special: {
-        const auto [cell, negated] = portCell(addr.special);
-        return {cell, negated};
-      }
-      case RowAddr::Kind::Dual:
-      case RowAddr::Kind::Triple:
-      default:
-        panic("resolvePort: not a single-row address");
-    }
-}
-
-void
-Subarray::writeRowsFromCell(const BitRow &src_cell, bool neg,
-                            const RowAddr &dst)
-{
-    // Single-row destinations write straight from the source cell:
-    // the self-aliasing cases are safe without a snapshot (aapInto
-    // onto itself is a no-op; assignNot negates element-wise in
-    // place), and skipping the snapshot saves two refcount round
-    // trips on the hottest path (plain AAP, data row to data row).
-    switch (dst.kind) {
-      case RowAddr::Kind::Data:
-        if (dst.dataRow >= data_.size())
-            panic("activate: data row out of range");
-        if (neg)
-            data_[dst.dataRow].assignNot(src_cell);
-        else
-            src_cell.aapInto(data_[dst.dataRow]);
-        return;
-      case RowAddr::Kind::Special: {
-        if (dst.special == SpecialRow::C0 ||
-            dst.special == SpecialRow::C1)
-            panic("writeSpecial: constant rows are read-only");
-        const auto [cell, pneg] = portCell(dst.special);
-        if (neg != pneg)
-            cell->assignNot(src_cell);
-        else
-            src_cell.aapInto(*cell);
-        return;
-      }
-      case RowAddr::Kind::Dual:
-      case RowAddr::Kind::Triple:
-        break;
-    }
-
-    // Multi-row destinations take an O(1) CoW snapshot first: if one
-    // of the target rows overwrites the source cell itself (a DCC
-    // port among them), the remaining rows must still read the
-    // pre-write value, exactly as the buffered path does.
-    const BitRow snap = src_cell;
-    auto writeOne = [&](SpecialRow s) {
-        if (s == SpecialRow::C0 || s == SpecialRow::C1)
-            panic("writeSpecial: constant rows are read-only");
-        const auto [cell, pneg] = portCell(s);
-        if (neg != pneg)
-            cell->assignNot(snap);
-        else
-            snap.aapInto(*cell);
-    };
-    if (dst.kind == RowAddr::Kind::Dual) {
-        const auto rows = dualRows(dst.dual);
-        for (SpecialRow s : rows)
-            writeOne(s);
-    } else {
-        const auto rows = tripleRows(dst.triple);
-        for (SpecialRow s : rows)
-            writeOne(s);
-    }
-}
-
-void
-Subarray::cloneRowFunctional(const RowAddr &src, const RowAddr &dst)
-{
-    if (reference_path_) {
-        aapFunctional(src, dst);
-        return;
-    }
-    const auto [cell, neg] = resolvePort(src);
-    writeRowsFromCell(*cell, neg, dst);
-    // Leave the lazy row buffer viewing the source, as an AAP does.
-    buffer_view_ = cell;
-    buffer_view_neg_ = neg;
-    buffer_open_ = false;
-}
-
-void
-Subarray::traFunctional(TripleAddr t)
-{
-    if (reference_path_ || tra_flip_p_ > 0.0 ||
-        injector_ != nullptr) {
-        // Fault injection (and the seed baseline) keep the generic
-        // path so RNG consumption and eager-copy costs stay exact.
-        apFunctional(RowAddr::row(t));
-        return;
-    }
-    const auto rows = tripleRows(t);
-    BitRow &r0 = specialCellMut(rows[0]);
-    BitRow &r1 = specialCellMut(rows[1]);
-    BitRow &r2 = specialCellMut(rows[2]);
-    BitRow::majority3Into(r0, r0, r1, r2);
-    r0.aapInto(r1);
-    r0.aapInto(r2);
-    buffer_view_ = &r0;
+    buffer_view_ = nullptr;
     buffer_view_neg_ = false;
     buffer_open_ = false;
-}
-
-void
-Subarray::traCloneFunctional(TripleAddr t, const RowAddr &dst)
-{
-    if (reference_path_ || tra_flip_p_ > 0.0 ||
-        injector_ != nullptr) {
-        aapFunctional(RowAddr::row(t), dst);
-        return;
-    }
-    const auto rows = tripleRows(t);
-    BitRow &r0 = specialCellMut(rows[0]);
-    BitRow &r1 = specialCellMut(rows[1]);
-    BitRow &r2 = specialCellMut(rows[2]);
-    BitRow::majority3Into(r0, r0, r1, r2);
-    r0.aapInto(r1);
-    r0.aapInto(r2);
-    writeRowsFromCell(r0, false, dst);
-    buffer_view_ = &r0;
-    buffer_view_neg_ = false;
-    buffer_open_ = false;
+    return Cells{data_.data(), t_, dcc_, &c0_, &c1_};
 }
 
 const BitRow &

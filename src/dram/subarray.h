@@ -25,12 +25,13 @@
  * within a subarray (and within a bank, which serializes subarrays).
  *
  * Data movement rides on BitRow's copy-on-write storage: a RowClone
- * copy (plain AAP) aliases the source row's payload in O(1), clones
- * of the constant rows intern one shared payload per subarray, and a
- * fault-free TRA materializes exactly one fresh row per activation —
- * the accounting above is untouched (stats describe the modeled
- * commands, not host copies). The retained reference path opts out
- * with explicit eager copies so it remains the seed-cost baseline.
+ * copy (plain AAP) aliases the source row's payload in O(1), and a
+ * TRA restores its majority into the three rows as aliases of one
+ * payload — the accounting above is untouched (stats describe the
+ * modeled commands, not host copies). The retained reference path
+ * opts out with explicit eager copies so it remains the seed-cost
+ * baseline. Batched μProgram replay bypasses the command interface
+ * through replayCells() (see exec/replay_plan.h).
  */
 
 #ifndef SIMDRAM_DRAM_SUBARRAY_H
@@ -104,40 +105,47 @@ class Subarray
     /**
      * State-only AAP: identical memory semantics to aap(), but
      * accumulates no statistics. Batched μProgram replay
-     * (exec/replay_plan.h) uses this together with addStats(): the
-     * per-command counters, latency, and energy of a μOp stream are
-     * precomputed once per plan and added in one shot per segment
-     * instead of being recomputed per command.
+     * (exec/replay_plan.h) falls back to this, with addStats(), when
+     * a TRA fault mechanism is active or the plan has no compiled
+     * schedule: the per-command counters, latency, and energy of a
+     * μOp stream are precomputed once per plan and added in one shot
+     * per segment, while every TRA still consults the injector.
      */
     void aapFunctional(const RowAddr &src, const RowAddr &dst);
 
     /** State-only AP (see aapFunctional()). */
     void apFunctional(const RowAddr &addr);
 
-    // ---- Classified functional replay entry points -------------------
-    //
-    // Specialized state-only commands emitted by the ReplayPlan once
-    // it has classified a μOp at resolve time (exec/replay_plan.h).
-    // Each is bit-exact with the equivalent aapFunctional() /
-    // apFunctional() call for the address shapes it accepts, but goes
-    // straight to the copy-on-write row engine: a RowClone is a
-    // payload alias (O(1)), a C0/C1 clone interns the constant row's
-    // payload, and a fault-free TRA materializes at most one fresh
-    // row regardless of how many AAPs chain off it.
+    /**
+     * The cells a compiled μProgram replay (exec/replay_plan.h) reads
+     * and writes directly: it computes every row's final value itself
+     * and stores it back, so no per-command state machine runs.
+     */
+    struct Cells
+    {
+        BitRow *data;      ///< Data rows 0..dataRowCount()-1.
+        BitRow *t;         ///< Compute rows T0..T3.
+        BitRow *dcc;       ///< DCC0, DCC1 (true stored values).
+        const BitRow *c0;  ///< Constant all-zeros row.
+        const BitRow *c1;  ///< Constant all-ones row.
+    };
 
     /**
-     * Plain RowClone AAP: copies the single row behind @p src into
-     * every row selected by @p dst via CoW aliasing. @p src must be a
-     * data row or special row (including DCC negative ports); @p dst
-     * may be a data, special, dual, or triple address.
+     * @return The subarray's cells for a compiled replay. Closes the
+     *         row buffer with no view, as after any AAP/AP, so the
+     *         caller's writes cannot be observed through a stale view.
      */
-    void cloneRowFunctional(const RowAddr &src, const RowAddr &dst);
+    Cells replayCells();
 
-    /** In-place TRA (state-only AP on a triple address). */
-    void traFunctional(TripleAddr t);
-
-    /** TRA followed by a RowClone of the result into @p dst. */
-    void traCloneFunctional(TripleAddr t, const RowAddr &dst);
+    /**
+     * @return True if neither TRA fault mechanism (flip probability,
+     *         fault injector) is active, so a TRA is a pure majority
+     *         that consumes no randomness.
+     */
+    bool faultFree() const
+    {
+        return tra_flip_p_ == 0.0 && injector_ == nullptr;
+    }
 
     /** Adds a precomputed statistics aggregate (serial latency). */
     void addStats(const DramStats &s) { stats_ += s; }
@@ -255,19 +263,6 @@ class Subarray
      * place the fast path maps DCC negative ports onto their cells.
      */
     std::pair<BitRow *, bool> portCell(SpecialRow s);
-
-    /** @return (cell, negated) behind a single-row address. */
-    std::pair<const BitRow *, bool> resolvePort(const RowAddr &addr);
-
-    /**
-     * Writes @p src_cell (complemented if @p neg) into every row
-     * selected by @p dst. Takes an O(1) CoW snapshot of the source
-     * first, so destinations that overwrite the source cell itself
-     * (a DCC port among the target rows) read the pre-write value,
-     * exactly as the buffered path does.
-     */
-    void writeRowsFromCell(const BitRow &src_cell, bool neg,
-                           const RowAddr &dst);
 
     /** Memory semantics of one ACTIVATE (no statistics). */
     void activateState(const RowAddr &addr);

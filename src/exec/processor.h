@@ -63,7 +63,7 @@ const char *toString(Backend b);
 enum class ReplayMode : uint8_t
 {
     Reference, ///< Seed path: per-segment binding via ControlUnit.
-    Batched,   ///< Cached ReplayPlan, batched over segments/banks.
+    Batched,   ///< Cached ReplayPlan, its compiled schedule per segment.
 };
 
 /** @return A printable replay-mode name. */

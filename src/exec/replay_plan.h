@@ -1,40 +1,51 @@
 /**
  * @file
- * Pre-resolved μProgram replay plans (the batched execution path).
+ * Compiled μProgram replay plans (the batched execution path).
  *
  * The seed control-unit path (ControlUnit::execute) rebuilds the
  * virtual-to-physical row table and re-dispatches every μOp through a
  * binding closure for every segment of every operation. A ReplayPlan
  * instead resolves each μOp operand ONCE per μProgram into either a
  * fixed special/dual/triple address or a (region, offset) pair; a
- * segment is then described by nothing but its region base rows, and
- * replaying a segment is a tight loop of base+offset adds.
+ * segment is then described by nothing but its region base rows.
  *
- * On top of the address resolution, each μOp is *classified* at plan
- * build time so replay emits alias/intern operations instead of row
- * copies on the copy-on-write row engine (dram/subarray.h):
+ * At construction the plan also compiles the μOp stream into a
+ * static schedule by executing it symbolically over row values:
  *
- *  - ConstClone — AAP whose source is C0/C1: the destination rows
- *    intern the constant row's payload (a *constant* operand);
- *  - CopyRow — plain single-row AAP: the destination aliases the
- *    source payload, O(1) until someone writes (a *read-shared*
- *    operand — arbitrarily many aliases of one payload);
- *  - Tra / TraClone — triple-row activation (the only μOp that
- *    computes): materializes exactly one fresh row per TRA, the
- *    *write-once* destination every downstream AAP then aliases;
- *  - Generic — anything else falls back to the unclassified
- *    aapFunctional()/apFunctional() path (also used verbatim when
- *    fault injection or the reference path is active).
+ *  - the values are C0, C1, every row the μProgram reads before it
+ *    writes it (its inputs — T, DCC and scratch rows included, so
+ *    memory state stays exact for any μProgram), and the output of
+ *    every TRA;
+ *  - a copy (AAP from a single row) is a rename: it moves a
+ *    (value, negated) pair from row to row and emits no work; a DCC
+ *    negative port flips the negated bit;
+ *  - each TRA becomes one majority over value slots, with negations
+ *    folded into operand masks; a TRA whose value never reaches a
+ *    row's final state is dropped, and slots are reused after their
+ *    last use;
+ *  - every row the μProgram writes ends holding one (value, negated)
+ *    pair; rows holding the same pair form one write-back group.
  *
- * replayBatch() additionally replays the whole μOp stream over many
- * segments at once, op-outer / segment-inner, so the per-op decode is
- * amortized across every segment and bank executing the operation.
- * Segments that live in the *same* subarray share its compute rows
- * (T0..T3, DCCs), so they cannot be interleaved at μOp granularity;
- * the batch replays in waves of distinct subarrays, which preserves
- * the seed path's per-subarray command order exactly (and therefore
- * its memory state and DramStats — asserted by the
- * replay-equivalence tests).
+ * Replaying a segment runs the majorities into one per-thread arena
+ * and then stores each group's value once: into a member row whose
+ * payload no other row or copy holds, in place, or — only when every
+ * member is shared — into a freshly allocated payload; the group's
+ * other rows alias that one (copy-on-write, BitRow). The rows read as
+ * inputs are snapshotted (one BitRow copy each) before any write, so
+ * a payload that a snapshot or an outside copy holds has two owners
+ * and is never overwritten in place. Segments replay back to back in
+ * their original order, each adding the plan's precomputed DramStats
+ * once, so memory state and statistics equal the per-command path
+ * (asserted by the replay-equivalence tests).
+ *
+ * The schedule assumes a TRA is a pure majority and that the rows a
+ * μProgram writes are distinct from every other row it touches. A
+ * segment whose subarray has a TRA fault mechanism active or is on
+ * its reference path, a plan whose μProgram writes an input region
+ * (two inputs may be the same vector), and a binding that overlaps a
+ * written region all replay μOp by μOp through
+ * Subarray::aapFunctional()/apFunctional() instead: every TRA then
+ * consults the fault injector in exactly the reference path's order.
  */
 
 #ifndef SIMDRAM_EXEC_REPLAY_PLAN_H
@@ -66,7 +77,8 @@ class ReplayPlan
     /**
      * Builds the plan for @p prog on a device configured as @p cfg:
      * validates every virtual row reference, splits each operand into
-     * fixed vs. region-relative form, and precomputes the statistics
+     * fixed vs. region-relative form, compiles the static schedule
+     * (see the file comment), and precomputes the statistics
      * aggregate (counters, serial latency, energy) of one full
      * stream replay — command accounting identical to issuing every
      * aap()/ap() individually, paid once per segment instead of once
@@ -80,18 +92,12 @@ class ReplayPlan
     /** @return Number of μOps in the plan. */
     size_t opCount() const { return ops_.size(); }
 
-    /** How the plan classified its μOps (see the file comment). */
-    struct FormCounts
-    {
-        size_t constClones = 0; ///< C0/C1 interns.
-        size_t rowCopies = 0;   ///< Plain RowClone aliases.
-        size_t traClones = 0;   ///< TRA + clone-out.
-        size_t tras = 0;        ///< In-place TRA.
-        size_t generics = 0;    ///< Unclassified fallbacks.
-    };
-
-    /** @return The per-form μOp counts (introspection/tests). */
-    FormCounts formCounts() const;
+    /**
+     * @return True if the μProgram compiled to a static schedule;
+     *         false if every segment replays μOp by μOp (see the file
+     *         comment).
+     */
+    bool compiled() const { return compiled_; }
 
     /** @return The statistics of one full stream replay. */
     const DramStats &segmentStats() const { return seg_stats_; }
@@ -100,10 +106,7 @@ class ReplayPlan
     void replay(Subarray &sub,
                 const std::vector<uint32_t> &bases) const;
 
-    /**
-     * Replays the μOp stream over all of @p segs, op-outer across
-     * waves of distinct subarrays (see file comment).
-     */
+    /** Replays the μOp stream on each of @p segs, in order. */
     void replayBatch(const std::vector<SegmentBinding> &segs) const;
 
   private:
@@ -116,32 +119,73 @@ class ReplayPlan
         bool isData = false; ///< Region-relative vs. fixed address.
     };
 
-    /** One resolved μOp. */
+    /** One resolved μOp (the per-command fallback). */
     struct PlanOp
     {
-        /** Resolve-time classification (see the file comment). */
-        enum class Form : uint8_t
-        {
-            ConstClone, ///< AAP C0/C1 -> dst: intern the constant.
-            CopyRow,    ///< AAP single row -> dst: CoW alias.
-            TraClone,   ///< AAP TRA -> dst: majority, clone out.
-            Tra,        ///< AP on a TRA: majority in place.
-            Generic,    ///< Fallback: aapFunctional/apFunctional.
-        };
-
         MicroOp::Kind kind = MicroOp::Kind::Ap;
-        Form form = Form::Generic;
         Operand src;
         Operand dst;
     };
 
-    /** Applies one resolved op to one bound segment. */
-    static void apply(const PlanOp &op, Subarray &sub,
-                      const std::vector<uint32_t> &bases);
+    /**
+     * A row of the schedule: @c offset rows past the base of
+     * @c region, where regions n_regions_ and n_regions_ + 1 stand for
+     * the compute rows T0..T3 and the DCC cells.
+     */
+    struct RowRef
+    {
+        uint32_t region = 0;
+        uint32_t offset = 0;
+    };
+
+    /**
+     * out = MAJ(in[0] ^ mask[0], in[1] ^ mask[1], in[2] ^ mask[2]).
+     * Operands index the value table (C0, C1, inputs, then arena
+     * slots); @c out is an arena slot.
+     */
+    struct TraOp
+    {
+        uint32_t out = 0;
+        uint32_t in[3] = {0, 0, 0};
+        uint64_t mask[3] = {0, 0, 0};
+    };
+
+    /** Rows that all end holding one value table entry. */
+    struct WriteGroup
+    {
+        uint32_t value = 0;    ///< Value table index.
+        bool negated = false;  ///< Rows hold the complement.
+        uint32_t first = 0;    ///< Members: group_rows_[first, +count).
+        uint32_t count = 0;
+    };
+
+    /** Executes the μOp stream symbolically into the schedule. */
+    void compile(const MicroProgram &prog);
+
+    /** @return True if @p bases may replay through the schedule. */
+    bool scheduleApplies(const Subarray &sub,
+                         const std::vector<uint32_t> &bases) const;
+
+    /** Replays one segment through the schedule. */
+    void runSchedule(Subarray &sub,
+                     const std::vector<uint32_t> &bases) const;
+
+    /** Replays one segment, then adds its statistics. */
+    void replaySegment(Subarray &sub,
+                       const std::vector<uint32_t> &bases) const;
 
     std::vector<PlanOp> ops_;
     size_t n_regions_ = 0;
+    size_t n_input_regions_ = 0;
+    std::vector<uint32_t> region_rows_; ///< Rows per region.
     DramStats seg_stats_; ///< Aggregate of one stream replay.
+
+    bool compiled_ = false;
+    std::vector<RowRef> inputs_;  ///< Value table entries 2, 3, ...
+    size_t n_slots_ = 0;          ///< Arena slots (rows) needed.
+    std::vector<TraOp> tras_;
+    std::vector<WriteGroup> groups_;
+    std::vector<RowRef> group_rows_;
 };
 
 } // namespace simdram

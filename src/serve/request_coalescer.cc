@@ -303,28 +303,24 @@ RequestCoalescer::failSlots(
     std::exception_ptr err)
 {
     // Every throw point in executeBatch precedes its pending_
-    // release, so the whole batch's admission budget is still held
-    // when this runs; slots executeBatch already fulfilled (an escape
-    // mid-slicing) keep their results — only the stranded ones get
-    // the error. Counters are best-effort on this path.
-    size_t newlyDone = 0;
-    for (const auto &sp : slots) {
-        detail::RequestState &st = *sp;
-        std::lock_guard<std::mutex> lock(st.mu);
-        if (st.done)
-            continue;
-        st.error = err;
-        st.done = true;
-        ++newlyDone;
-        st.cv.notify_all();
-    }
-    completed_.fetch_add(newlyDone, std::memory_order_relaxed);
-    failed_.fetch_add(newlyDone, std::memory_order_relaxed);
+    // release and its first resolved future, so the whole batch's
+    // admission budget is still held and every slot is stranded when
+    // this runs. Counters are best-effort on this path. Settle before
+    // resolving, as executeBatch does.
+    completed_.fetch_add(slots.size(), std::memory_order_relaxed);
+    failed_.fetch_add(slots.size(), std::memory_order_relaxed);
     {
         MutexLock lock(mu_);
         pending_ -= slots.size();
+        admit_cv_.notify_all();
+        for (const auto &sp : slots) {
+            detail::RequestState &st = *sp;
+            std::lock_guard<std::mutex> slock(st.mu);
+            st.error = err;
+            st.done = true;
+            st.cv.notify_all();
+        }
     }
-    admit_cv_.notify_all();
     drain_cv_.notify_all();
 }
 
@@ -484,7 +480,7 @@ RequestCoalescer::executeBatch(Batch batch)
                          std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
 
-    // Fulfill the per-request futures: slice the batched output and
+    // Fill the per-request results: slice the batched output and
     // stamp the latency breakdown on the end-to-end clock.
     const size_t n = spec.elements;
     for (size_t r = 0; r < batch.reqs.size(); ++r) {
@@ -504,15 +500,22 @@ RequestCoalescer::executeBatch(Batch batch)
             st.result.batchStreams = streams;
             latency_.record(st.result.totalNs);
         }
-        st.done = true;
-        st.cv.notify_all();
     }
 
+    // Release the budget, then resolve the futures — under mu_, so a
+    // caller returning from wait() can submit again at once and
+    // drain() cannot return before every future resolves.
     {
         MutexLock lock(mu_);
         pending_ -= batch.reqs.size();
+        admit_cv_.notify_all();
+        for (const Pending &p : batch.reqs) {
+            detail::RequestState &st = *p.st;
+            std::lock_guard<std::mutex> slock(st.mu);
+            st.done = true;
+            st.cv.notify_all();
+        }
     }
-    admit_cv_.notify_all();
     drain_cv_.notify_all();
 }
 

@@ -398,10 +398,10 @@ class RequestCoalescer
      *  Never lets a batch error escape without first fulfilling every
      *  slot's future (faults map to per-request RequestFaultError). */
     void executeBatch(Batch batch) SIMDRAM_EXCLUDES(mu_);
-    /** Dispatcher safety net: fulfils any not-yet-done slot of
-     *  @p slots with @p err and releases their admission budget, so
-     *  an exception escaping executeBatch (e.g. allocation failure
-     *  while slicing results) can never strand a ServeFuture. */
+    /** Dispatcher safety net: releases the admission budget of
+     *  @p slots and fails each of them with @p err, so an exception
+     *  escaping executeBatch (e.g. allocation failure while slicing
+     *  results) can never strand a ServeFuture. */
     void failSlots(
         const std::vector<std::shared_ptr<detail::RequestState>> &slots,
         std::exception_ptr err) SIMDRAM_EXCLUDES(mu_);

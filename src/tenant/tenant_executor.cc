@@ -574,33 +574,36 @@ TenantExecutor::dispatchNext()
         err = std::current_exception();
     }
 
-    {
-        std::lock_guard<std::mutex> lock(job.st->mu);
-        job.st->dispatched = true;
-        if (err) {
-            job.st->error = err;
-            job.st->done = true;
-        } else {
+    if (!err) {
+        {
+            std::lock_guard<std::mutex> lock(job.st->mu);
+            job.st->dispatched = true;
             job.st->inner = std::move(inner);
+            job.st->cv.notify_all();
         }
-        job.st->cv.notify_all();
-    }
-
-    MutexLock lock(mu_);
-    if (err) {
-        // Rejected at validation: the executor enqueued nothing, so
-        // the stream completes here — failed, isolated to its
-        // tenant.
-        TenantState &t = *tenants_[tid];
-        ++t.stats.failed;
-        ++fleet_.failed;
-        --t.inflight;
-        t.admit_cv.notify_all();
-        drain_cv_.notify_all();
-    } else {
+        MutexLock lock(mu_);
         reap_.push_back(ReapJob{tid, std::move(job.st)});
         reap_cv_.notify_one();
+        return true;
     }
+
+    // Rejected at validation: the executor enqueued nothing, so the
+    // stream completes here — failed, isolated to its tenant. Settle
+    // before resolving (see reaperMain).
+    MutexLock lock(mu_);
+    TenantState &t = *tenants_[tid];
+    ++t.stats.failed;
+    ++fleet_.failed;
+    --t.inflight;
+    t.admit_cv.notify_all();
+    {
+        std::lock_guard<std::mutex> slock(job.st->mu);
+        job.st->dispatched = true;
+        job.st->error = err;
+        job.st->done = true;
+        job.st->cv.notify_all();
+    }
+    drain_cv_.notify_all();
     return true;
 }
 
@@ -762,15 +765,6 @@ TenantExecutor::reaperMain()
                         .count();
         const double e2e = res.e2eNs;
 
-        {
-            std::lock_guard<std::mutex> lock(st.mu);
-            if (err)
-                st.error = err;
-            st.result = std::move(res);
-            st.done = true;
-            st.cv.notify_all();
-        }
-
         // Classify the failure by type so a noisy device is visible
         // per tenant: integrity faults and missed deadlines get their
         // own counters next to the generic failed/shed split.
@@ -789,18 +783,19 @@ TenantExecutor::reaperMain()
         size_t faultsDetected = 0;
         bool retried = false;
         bool recovered = false;
-        // The per-segment results were moved into the shared state
-        // above; the reaper is their only writer, so this re-read is
-        // race-free (waiters only copy under st.mu).
-        for (const StreamResult &r : job.st->result.segments) {
+        for (const StreamResult &r : res.segments) {
             faultsDetected += r.faultsDetected;
             retried = retried || r.attempts > 1;
             recovered = recovered || r.recoveredOnDevice != -1;
         }
 
+        // Settle everything, then resolve the handle — still under
+        // mu_, so a caller returning from wait() finds its counters
+        // final and its quota free, and drain() cannot return before
+        // the handle resolves.
         MutexLock lock(mu_);
         TenantState &t = *tenants_[job.tid];
-        const TenantStreamResult &done = job.st->result;
+        const TenantStreamResult &done = res;
         if (err) {
             ++t.stats.failed;
             ++fleet_.failed;
@@ -841,6 +836,14 @@ TenantExecutor::reaperMain()
         fleet_.optimizedInstructions += done.optimizedInstructions;
         --t.inflight;
         t.admit_cv.notify_all();
+        {
+            std::lock_guard<std::mutex> slock(st.mu);
+            if (err)
+                st.error = err;
+            st.result = std::move(res);
+            st.done = true;
+            st.cv.notify_all();
+        }
         drain_cv_.notify_all();
     }
 }

@@ -53,6 +53,42 @@ TEST(KernelDiff, Majority3MatchesReference)
     }
 }
 
+/**
+ * The compiled replay's raw-word TRA kernel, with every combination
+ * of negated operands, written back through assignWords (which
+ * clears the padding the negations set).
+ */
+TEST(KernelDiff, MaskedMajorityWordsMatchReference)
+{
+    Rng rng(0x3a9);
+    for (size_t w : kWidths) {
+        if (w == 0)
+            continue;
+        const BitRow a = randomRow(w, rng);
+        const BitRow b = randomRow(w, rng);
+        const BitRow c = randomRow(w, rng);
+        for (unsigned neg = 0; neg < 16; ++neg) {
+            auto pick = [&](const BitRow &r, unsigned bit) {
+                return (neg >> bit) & 1 ? ~r : r;
+            };
+            const BitRow expect = refkernel::majority3(
+                pick(a, 0), pick(b, 1), pick(c, 2));
+            auto mask = [&](unsigned bit) {
+                return (neg >> bit) & 1 ? ~0ULL : 0ULL;
+            };
+            std::vector<uint64_t> words(a.wordCount());
+            BitRow::majority3Words(words.data(), a.data(), mask(0),
+                                   b.data(), mask(1), c.data(),
+                                   mask(2), words.size());
+            BitRow out(w);
+            out.assignWords(words.data(), (neg >> 3) & 1);
+            EXPECT_EQ(out, (neg >> 3) & 1 ? ~expect : expect)
+                << "w=" << w << " neg=" << neg;
+            EXPECT_TRUE(paddingClear(out)) << "w=" << w;
+        }
+    }
+}
+
 TEST(KernelDiff, SelectMatchesReference)
 {
     Rng rng(0x5e1);
@@ -252,6 +288,118 @@ TEST(KernelDiff, ReplayPlanMatchesControlUnit)
     EXPECT_EQ(fs.aps, rs.aps);
     EXPECT_DOUBLE_EQ(fs.latencyNs, rs.latencyNs);
     EXPECT_DOUBLE_EQ(fs.energyPj, rs.energyPj);
+}
+
+/**
+ * The compiled schedule on the shapes library μPrograms rarely emit:
+ * a triple destination, chained DCC negative ports, a constant read
+ * through a negative port, a swap through scratch, an AP on a single
+ * row, and a TRA whose value is overwritten unused. Run twice, so
+ * the second pass meets the first pass's payloads.
+ */
+TEST(KernelDiff, CompiledScheduleMatchesControlUnit)
+{
+    MicroProgram prog;
+    prog.inputRegions = {{"a", 3}};
+    prog.outputRegions = {{"y", 3}};
+    prog.scratchRows = 2;
+    // Virtual rows: a=0..2, y=3..5, scratch=6..7.
+    prog.ops = {
+        MicroOp::aap(RowAddr::data(0), RowAddr::row(TripleAddr::T0T1T2)),
+        MicroOp::aap(RowAddr::data(1), RowAddr::row(SpecialRow::DCC0N)),
+        MicroOp::aap(RowAddr::row(SpecialRow::DCC0N),
+                     RowAddr::row(SpecialRow::DCC1N)),
+        MicroOp::aap(RowAddr::data(2), RowAddr::row(SpecialRow::T3)),
+        MicroOp::ap(RowAddr::row(TripleAddr::DCC1T0T3)),
+        MicroOp::ap(RowAddr::row(TripleAddr::T1T2T3)),
+        MicroOp::aap(RowAddr::data(6), RowAddr::data(7)),
+        MicroOp::aap(RowAddr::data(3), RowAddr::data(6)),
+        MicroOp::aap(RowAddr::data(7), RowAddr::data(3)),
+        MicroOp::ap(RowAddr::data(4)),
+        MicroOp::aap(RowAddr::row(TripleAddr::DCC0T1T2),
+                     RowAddr::data(4)),
+        MicroOp::aap(RowAddr::row(SpecialRow::C0),
+                     RowAddr::row(SpecialRow::DCC0N)),
+        MicroOp::aap(RowAddr::row(SpecialRow::DCC1N),
+                     RowAddr::row(DualAddr::T0T1)),
+        MicroOp::aap(RowAddr::row(SpecialRow::T1), RowAddr::data(5)),
+        MicroOp::ap(RowAddr::row(TripleAddr::T0T1T2)),
+        MicroOp::aap(RowAddr::data(0), RowAddr::row(DualAddr::T0T1)),
+    };
+
+    const DramConfig cfg = DramConfig::forTesting(192, 64);
+    Subarray ref_sub(cfg);
+    Subarray fast_sub(cfg);
+    ref_sub.useReferencePath(true);
+    Rng rng(0xc0de);
+    for (size_t row = 0; row < 16; ++row) {
+        const BitRow v = randomRow(cfg.rowBits, rng);
+        ref_sub.pokeData(row, v);
+        fast_sub.pokeData(row, v);
+    }
+    for (SpecialRow s : {SpecialRow::T0, SpecialRow::T1, SpecialRow::T2,
+                         SpecialRow::T3, SpecialRow::DCC0P,
+                         SpecialRow::DCC1P}) {
+        const BitRow v = randomRow(cfg.rowBits, rng);
+        ref_sub.poke(s, v);
+        fast_sub.poke(s, v);
+    }
+
+    ReplayPlan plan(prog, cfg);
+    ASSERT_TRUE(plan.compiled());
+    const std::vector<uint32_t> bases = {0, 3, 8};
+    ControlUnit cu;
+    for (int pass = 0; pass < 2; ++pass) {
+        cu.execute(ref_sub, prog, {bases[0]}, {bases[1]}, bases[2]);
+        plan.replay(fast_sub, bases);
+        for (size_t row = 0; row < cfg.rowsPerSubarray; ++row)
+            ASSERT_EQ(fast_sub.peekData(row), ref_sub.peekData(row))
+                << "pass " << pass << " data row " << row;
+        for (SpecialRow s :
+             {SpecialRow::T0, SpecialRow::T1, SpecialRow::T2,
+              SpecialRow::T3, SpecialRow::DCC0P, SpecialRow::DCC1P})
+            ASSERT_EQ(fast_sub.peek(s), ref_sub.peek(s))
+                << "pass " << pass << " " << toString(s);
+        EXPECT_FALSE(fast_sub.bufferOpen());
+    }
+    EXPECT_EQ(fast_sub.stats().aaps, ref_sub.stats().aaps);
+    EXPECT_EQ(fast_sub.stats().aps, ref_sub.stats().aps);
+}
+
+/**
+ * A μProgram that writes an input region keeps the per-command
+ * replay (two inputs may be one vector), and stays exact.
+ */
+TEST(KernelDiff, ProgramWritingAnInputFallsBack)
+{
+    MicroProgram prog;
+    prog.inputRegions = {{"a", 1}, {"b", 1}};
+    prog.outputRegions = {{"y", 1}};
+    prog.scratchRows = 0;
+    prog.ops = {
+        MicroOp::aap(RowAddr::data(0), RowAddr::row(SpecialRow::DCC0N)),
+        MicroOp::aap(RowAddr::row(SpecialRow::DCC0P), RowAddr::data(1)),
+        MicroOp::aap(RowAddr::data(1), RowAddr::data(2)),
+    };
+    const DramConfig cfg = DramConfig::forTesting(128, 64);
+    ReplayPlan plan(prog, cfg);
+    EXPECT_FALSE(plan.compiled());
+
+    // Both inputs bound to one row: y = ~a, and a itself is negated.
+    Subarray ref_sub(cfg);
+    Subarray fast_sub(cfg);
+    ref_sub.useReferencePath(true);
+    Rng rng(0x1a1);
+    const BitRow v = randomRow(cfg.rowBits, rng);
+    ref_sub.pokeData(0, v);
+    fast_sub.pokeData(0, v);
+    ControlUnit cu;
+    cu.execute(ref_sub, prog, {0, 0}, {1}, 2);
+    plan.replay(fast_sub, {0, 0, 1, 2});
+    EXPECT_EQ(fast_sub.peekData(0), ~v);
+    EXPECT_EQ(fast_sub.peekData(1), ~v);
+    EXPECT_EQ(fast_sub.peekData(0), ref_sub.peekData(0));
+    EXPECT_EQ(fast_sub.peekData(1), ref_sub.peekData(1));
 }
 
 /** Batched replay across segments sharing a subarray stays exact. */

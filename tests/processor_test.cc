@@ -10,6 +10,7 @@
 #include "baseline/host_kernels.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "dram/fault_injector.h"
 #include "exec/processor.h"
 
 namespace simdram
@@ -383,7 +384,8 @@ TEST_P(ReplayEquivalenceTest, BatchedMatchesReference)
 INSTANTIATE_TEST_SUITE_P(
     AllOps, ReplayEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(kAllOps),
-                       ::testing::Values(size_t{8}, size_t{16}),
+                       ::testing::Values(size_t{8}, size_t{16},
+                                         size_t{32}),
                        ::testing::Values(Backend::Simdram,
                                          Backend::SimdramNaive,
                                          Backend::Ambit)),
@@ -396,6 +398,150 @@ INSTANTIATE_TEST_SUITE_P(
                     : (b == Backend::SimdramNaive ? "naive"
                                                   : "ambit"));
     });
+
+/** The schedule path is live: every library μProgram compiles. */
+TEST(Processor, EveryLibraryPlanCompiles)
+{
+    std::vector<OpKind> ops(kAllOps.begin(), kAllOps.end());
+    ops.insert(ops.end(), kExtensionOps.begin(), kExtensionOps.end());
+    for (Backend backend :
+         {Backend::Simdram, Backend::SimdramNaive, Backend::Ambit}) {
+        Processor p(testCfg(), backend);
+        for (OpKind op : ops)
+            for (size_t width : {size_t{8}, size_t{16}, size_t{32}})
+                EXPECT_TRUE(ReplayPlan(p.program(op, width), p.config())
+                                .compiled())
+                    << toString(op) << " w=" << width << " "
+                    << toString(backend);
+    }
+}
+
+/**
+ * Replay equivalence on the wide shape the apps run (4,096-bit rows,
+ * two compute banks, three segments per subarray), over a chain of
+ * three executions into one destination. The schedule's write-back
+ * meets every payload state: rows that share the fresh all-zero
+ * payload, the previous execution's unshared and group-shared
+ * payloads, and payloads an outside BitRow copy holds. Those copies
+ * (every data row and T0 of one subarray) keep their contents.
+ */
+class WideReplayChainTest
+    : public ::testing::TestWithParam<std::tuple<OpKind, size_t>>
+{
+};
+
+TEST_P(WideReplayChainTest, BatchedMatchesReference)
+{
+    const auto [op, width] = GetParam();
+    DramConfig cfg = DramConfig::forTesting(4096, 1024);
+    cfg.computeBanks = 2;
+    Processor pref(cfg);
+    Processor pbat(cfg);
+    pref.setReplayMode(ReplayMode::Reference);
+
+    const auto sig = signatureOf(op, width);
+    const size_t n = 5 * 4096 + 1000; // 6 segments, 3 per bank
+    const uint64_t mask =
+        width >= 64 ? ~0ULL : ((1ULL << width) - 1);
+    Rng rng(0xc4a1 + width);
+
+    std::vector<Processor::VecHandle> ha, hb, hs, hy;
+    for (Processor *p : {&pref, &pbat}) {
+        ha.push_back(p->alloc(n, width));
+        hb.push_back(p->alloc(n, width));
+        hs.push_back(p->alloc(n, 1));
+        hy.push_back(p->alloc(n, sig.outWidth));
+    }
+
+    for (int step = 0; step < 3; ++step) {
+        std::vector<uint64_t> da(n), db(n), ds(n);
+        for (size_t i = 0; i < n; ++i) {
+            da[i] = rng.next() & mask;
+            db[i] = rng.next() & mask;
+            ds[i] = rng.next() & 1;
+        }
+        Subarray &held = pbat.device().bank(0).subarray(0);
+        std::vector<BitRow> copies, expect;
+        std::vector<uint64_t> out[2];
+        for (size_t k = 0; k < 2; ++k) {
+            Processor &p = k == 0 ? pref : pbat;
+            p.store(ha[k], da);
+            if (sig.numInputs == 2)
+                p.store(hb[k], db);
+            if (sig.hasSel)
+                p.store(hs[k], ds);
+            if (k == 1 && step == 2) {
+                for (size_t row = 0; row < held.dataRowCount(); ++row)
+                    copies.push_back(held.peekData(row));
+                copies.push_back(held.peek(SpecialRow::T0));
+                for (const BitRow &c : copies)
+                    expect.push_back(c.clone());
+            }
+            if (sig.numInputs == 1)
+                p.run(op, hy[k], ha[k]);
+            else if (!sig.hasSel)
+                p.run(op, hy[k], ha[k], hb[k]);
+            else
+                p.run(op, hy[k], ha[k], hb[k], hs[k]);
+            out[k] = p.load(hy[k]);
+        }
+        ASSERT_EQ(out[1], out[0]) << "step " << step;
+        expectSameDeviceState(pbat, pref);
+        expectSameStats(pbat.computeStats(), pref.computeStats());
+        for (size_t i = 0; i < copies.size(); ++i)
+            ASSERT_EQ(copies[i], expect[i]) << "outside copy " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppsOps, WideReplayChainTest,
+    ::testing::Combine(::testing::Values(OpKind::Add, OpKind::Sub,
+                                         OpKind::Abs, OpKind::Gt,
+                                         OpKind::IfElse),
+                       ::testing::Values(size_t{8}, size_t{32})),
+    [](const auto &info) {
+        return toString(std::get<0>(info.param)) + "_w" +
+               std::to_string(std::get<1>(info.param));
+    });
+
+/**
+ * One FaultPlan corrupts the same TRAs on the batched and the
+ * reference path. Its ordinals count TRAs device-wide in execution
+ * order, so both paths must replay segment after segment even when
+ * the segments live in different banks.
+ */
+TEST(Processor, FaultPlanHitsSameTrasOnBothReplayPaths)
+{
+    DramConfig cfg = testCfg();
+    cfg.computeBanks = 2;
+    Processor pref(cfg);
+    Processor pbat(cfg);
+    pref.setReplayMode(ReplayMode::Reference);
+    const FaultPlan plan{{3, 17, 40, 41, 200}};
+    auto iref = FaultInjector::deterministic(plan);
+    auto ibat = FaultInjector::deterministic(plan);
+    pref.setFaultInjector(iref.get());
+    pbat.setFaultInjector(ibat.get());
+
+    const size_t n = 300; // two segments, one per bank
+    Rng rng(0xfa17);
+    std::vector<uint64_t> da(n);
+    for (auto &x : da)
+        x = rng.next() & 0xffff;
+    for (Processor *p : {&pref, &pbat}) {
+        const auto a = p->alloc(n, 16);
+        const auto y = p->alloc(n, 16);
+        p->store(a, da);
+        p->run(OpKind::Abs, y, a);
+        p->run(OpKind::Abs, y, a);
+    }
+    ASSERT_GT(iref->trasObserved(), 200u);
+    EXPECT_EQ(ibat->trasObserved(), iref->trasObserved());
+    EXPECT_EQ(pref.computeStats().traFaults, 5u);
+    EXPECT_EQ(pbat.computeStats().traFaults,
+              pref.computeStats().traFaults);
+    expectSameDeviceState(pbat, pref);
+}
 
 // ---------------------------------------------------------------
 // free(): segment recycling and misuse diagnostics

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -492,6 +493,64 @@ TEST(Serving, ConcurrentSubmittersEachGetTheirOwnResult)
     EXPECT_EQ(co.latency().count(), kThreads * kPer);
     EXPECT_EQ(co.pendingRequests(), 0u);
     EXPECT_GT(co.latency().p999(), 0.0);
+}
+
+/**
+ * Settle before resolve, as a closed-loop probe: 8 clients, each
+ * behind its own one-request budget, submit 200 requests back to
+ * back. No client ever has more than its budget in flight, so any
+ * shed is spurious, and the coalescer's counters must be final the
+ * moment wait() returns.
+ */
+TEST(Serving, ClosedLoopClientsAreNeverShedAndSeeFinalCounters)
+{
+    DeviceGroup g(testCfg(), 2);
+    StreamExecutor ex(g);
+    const TpchFilterSpec spec{/*rows=*/32, /*bits=*/16};
+    constexpr size_t kClients = 8, kSubmits = 200;
+    std::vector<std::unique_ptr<RequestCoalescer>> cos;
+    std::vector<uint32_t> cls;
+    for (size_t c = 0; c < kClients; ++c) {
+        cos.push_back(std::make_unique<RequestCoalescer>(
+            ex, CoalescerOptions{/*maxBatch=*/1, /*maxLingerUs=*/0.0,
+                                 /*maxPending=*/1,
+                                 AdmissionPolicy::Shed}));
+        cls.push_back(cos.back()->registerClass(tpchFilterClass(spec)));
+    }
+    const auto col = randomData(spec.rows, 0xfff, 7);
+    const auto expect = tpchFilterHost(spec, col, 0x400);
+
+    std::atomic<size_t> sheds{0}, stale{0}, wrong{0};
+    std::vector<std::thread> ths;
+    for (size_t c = 0; c < kClients; ++c)
+        ths.emplace_back([&, c] {
+            RequestCoalescer &co = *cos[c];
+            uint64_t done = 0;
+            for (size_t k = 0; k < kSubmits; ++k) {
+                ServeFuture f;
+                try {
+                    f = co.submit(cls[c],
+                                  tpchFilterRequest(spec, col, 0x400));
+                } catch (const RequestShedError &) {
+                    sheds.fetch_add(1);
+                    continue;
+                }
+                if (f.wait().output != expect)
+                    wrong.fetch_add(1);
+                ++done;
+                if (co.completedRequests() != done ||
+                    co.latency().count() != done ||
+                    co.pendingRequests() != 0)
+                    stale.fetch_add(1);
+            }
+        });
+    for (auto &th : ths)
+        th.join();
+    EXPECT_EQ(sheds.load(), 0u);
+    EXPECT_EQ(stale.load(), 0u);
+    EXPECT_EQ(wrong.load(), 0u);
+    for (const auto &co : cos)
+        EXPECT_EQ(co->shedRequests(), 0u);
 }
 
 // ---- histogram merge / snapshot -------------------------------------

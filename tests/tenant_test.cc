@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,6 +59,60 @@ std::vector<BbopInstr>
 bounceStream(uint16_t a)
 {
     return {BbopInstr::trsp(a, 8), BbopInstr::trspInv(a, 8)};
+}
+
+// ---- completion order ------------------------------------------------
+
+/**
+ * Settle before resolve, as a closed-loop probe: 8 clients, each its
+ * own tenant with a one-stream Shed quota, submit 200 streams back to
+ * back. No client ever has more than its quota in flight, so any shed
+ * is spurious, and the tenant's counters must be final the moment
+ * wait() returns.
+ */
+TEST(Tenant, ClosedLoopClientsAreNeverShedAndSeeFinalCounters)
+{
+    DeviceGroup g(testCfg(), 2);
+    StreamExecutor ex(g);
+    TenantExecutor te(ex);
+    constexpr size_t kClients = 8, kSubmits = 200;
+    std::vector<uint32_t> tids;
+    std::vector<uint16_t> objs;
+    for (size_t c = 0; c < kClients; ++c) {
+        TenantConfig cfg;
+        cfg.name = "client" + std::to_string(c);
+        cfg.maxPendingStreams = 1;
+        cfg.onFull = TenantQuotaPolicy::Shed;
+        tids.push_back(te.registerTenant(cfg));
+        objs.push_back(te.defineObject(tids.back(), 64, 8));
+    }
+
+    std::atomic<size_t> sheds{0}, stale{0};
+    std::vector<std::thread> ths;
+    for (size_t c = 0; c < kClients; ++c)
+        ths.emplace_back([&, c] {
+            uint64_t done = 0;
+            for (size_t k = 0; k < kSubmits; ++k) {
+                TenantStreamHandle h;
+                try {
+                    h = te.submit(tids[c], bounceStream(objs[c]));
+                } catch (const TenantQuotaError &) {
+                    sheds.fetch_add(1);
+                    continue;
+                }
+                h.wait();
+                ++done;
+                const TenantStats s = te.stats(tids[c]);
+                if (s.executed != done || s.submitted != done)
+                    stale.fetch_add(1);
+            }
+        });
+    for (auto &th : ths)
+        th.join();
+    EXPECT_EQ(sheds.load(), 0u);
+    EXPECT_EQ(stale.load(), 0u);
+    EXPECT_EQ(te.fleetStats().shed, 0u);
+    EXPECT_EQ(te.fleetStats().executed, kClients * kSubmits);
 }
 
 // ---- namespace isolation --------------------------------------------
@@ -147,7 +203,7 @@ TEST(Tenant, MalformedStreamFailsOnlyItsOwner)
     // working afterwards.
     EXPECT_EQ(te.stats(ta).submitted, 1u);
     te.submit(ta, bounceStream(aa)).wait();
-    te.drain(); // the reaper rolls stats up after resolving the handle
+    te.drain();
     EXPECT_EQ(te.stats(ta).executed, 1u);
 }
 
