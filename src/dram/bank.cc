@@ -55,4 +55,15 @@ Bank::setFaultInjector(FaultInjector *injector)
             s->setFaultInjector(injector);
 }
 
+bool
+Bank::faultFree() const
+{
+    if (injector_ != nullptr)
+        return false;
+    for (const auto &s : slots_)
+        if (s && !s->faultFree())
+            return false;
+    return true;
+}
+
 } // namespace simdram

@@ -53,6 +53,12 @@ class Bank
      */
     void setFaultInjector(FaultInjector *injector);
 
+    /**
+     * @return True if no injector is installed and no materialized
+     *         subarray has a TRA fault mechanism active.
+     */
+    bool faultFree() const;
+
   private:
     DramConfig cfg_;
     std::vector<std::unique_ptr<Subarray>> slots_;

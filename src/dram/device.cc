@@ -69,4 +69,13 @@ DramDevice::setFaultInjector(FaultInjector *injector)
         b.setFaultInjector(injector);
 }
 
+bool
+DramDevice::faultFree() const
+{
+    for (const auto &b : banks_)
+        if (!b.faultFree())
+            return false;
+    return true;
+}
+
 } // namespace simdram

@@ -75,6 +75,9 @@ class DramDevice
      */
     void setFaultInjector(FaultInjector *injector);
 
+    /** @return True if every bank is Bank::faultFree(). */
+    bool faultFree() const;
+
   private:
     DramConfig cfg_;
     std::vector<Bank> banks_;

@@ -149,27 +149,43 @@ Processor::store(const VecHandle &v, const std::vector<uint64_t> &data)
 }
 
 void
-Processor::store(const VecHandle &v, const uint64_t *data, size_t n)
+Processor::store(const VecHandle &v, const uint64_t *data, size_t n,
+                 size_t bank)
 {
     const VecInfo &vi = info(v);
     if (n != vi.elements)
         fatal("Processor::store: element count mismatch");
     size_t off = 0;
     for (const Segment &seg : vi.segments) {
-        Subarray &sub = device_.bank(seg.bank).subarray(seg.sub);
-        tunit_.storeVertical(sub, seg.baseRow, vi.bits,
-                             data + off, seg.lanes);
+        // Another bank's subarrays may be materializing concurrently:
+        // touch only this part's.
+        if (bank == kAllBanks || seg.bank == bank)
+            TranspositionUnit::writeVertical(
+                device_.bank(seg.bank).subarray(seg.sub), seg.baseRow,
+                vi.bits, data + off, seg.lanes);
         off += seg.lanes;
     }
+    if (bank == kAllBanks)
+        accountTransfer(v);
 }
 
 void
-Processor::fillConstant(const VecHandle &v, uint64_t value)
+Processor::accountTransfer(const VecHandle &v)
+{
+    const VecInfo &vi = info(v);
+    for (const Segment &seg : vi.segments)
+        tunit_.account(vi.bits, seg.lanes);
+}
+
+void
+Processor::fillConstant(const VecHandle &v, uint64_t value, size_t bank)
 {
     const VecInfo &vi = info(v);
     if (vi.bits < 64 && (value >> vi.bits) != 0)
         fatal("Processor::fillConstant: value wider than the vector");
     for (const Segment &seg : vi.segments) {
+        if (bank != kAllBanks && seg.bank != bank)
+            continue;
         Subarray &sub = device_.bank(seg.bank).subarray(seg.sub);
         // C0/C1 clones intern the constant row's payload on the fast
         // path; keep the reference mode an eager seed baseline.
@@ -221,28 +237,21 @@ shiftRows(Subarray &sub, uint32_t dst_base, uint32_t src_base,
 
 void
 Processor::shiftLeft(const VecHandle &dst, const VecHandle &src,
-                     size_t k)
+                     size_t k, size_t bank)
 {
-    const VecInfo &d = info(dst);
-    const VecInfo &s = info(src);
-    if (dst.id == src.id)
-        fatal("Processor::shift: in-place shift is not supported");
-    if (d.bits != s.bits || d.elements != s.elements)
-        fatal("Processor::shift: shape mismatch");
-    for (size_t i = 0; i < d.segments.size(); ++i) {
-        const Segment &ds = d.segments[i];
-        const Segment &ss = s.segments[i];
-        if (ds.bank != ss.bank || ds.sub != ss.sub)
-            fatal("Processor::shift: vectors are not co-located");
-        Subarray &sub = device_.bank(ds.bank).subarray(ds.sub);
-        sub.useReferencePath(replay_mode_ == ReplayMode::Reference);
-        shiftRows(sub, ds.baseRow, ss.baseRow, d.bits, k, true);
-    }
+    shift(dst, src, k, true, bank);
 }
 
 void
 Processor::shiftRight(const VecHandle &dst, const VecHandle &src,
-                      size_t k)
+                      size_t k, size_t bank)
+{
+    shift(dst, src, k, false, bank);
+}
+
+void
+Processor::shift(const VecHandle &dst, const VecHandle &src, size_t k,
+                 bool left, size_t bank)
 {
     const VecInfo &d = info(dst);
     const VecInfo &s = info(src);
@@ -255,9 +264,11 @@ Processor::shiftRight(const VecHandle &dst, const VecHandle &src,
         const Segment &ss = s.segments[i];
         if (ds.bank != ss.bank || ds.sub != ss.sub)
             fatal("Processor::shift: vectors are not co-located");
+        if (bank != kAllBanks && ds.bank != bank)
+            continue;
         Subarray &sub = device_.bank(ds.bank).subarray(ds.sub);
         sub.useReferencePath(replay_mode_ == ReplayMode::Reference);
-        shiftRows(sub, ds.baseRow, ss.baseRow, d.bits, k, false);
+        shiftRows(sub, ds.baseRow, ss.baseRow, d.bits, k, left);
     }
 }
 
@@ -270,17 +281,19 @@ Processor::load(const VecHandle &v)
 }
 
 void
-Processor::loadInto(const VecHandle &v, uint64_t *out)
+Processor::loadInto(const VecHandle &v, uint64_t *out, size_t bank)
 {
     const VecInfo &vi = info(v);
     size_t off = 0;
     for (const Segment &seg : vi.segments) {
-        Subarray &sub = device_.bank(seg.bank).subarray(seg.sub);
-        const auto part = tunit_.loadVertical(sub, seg.baseRow,
-                                              vi.bits, seg.lanes);
-        std::copy(part.begin(), part.end(), out + off);
+        if (bank == kAllBanks || seg.bank == bank)
+            TranspositionUnit::readVertical(
+                device_.bank(seg.bank).subarray(seg.sub), seg.baseRow,
+                vi.bits, out + off, seg.lanes);
         off += seg.lanes;
     }
+    if (bank == kAllBanks)
+        accountTransfer(v);
 }
 
 const MicroProgram &
@@ -318,37 +331,54 @@ Processor::program(OpKind op, size_t width)
 }
 
 void
-Processor::run(OpKind op, const VecHandle &dst, const VecHandle &a)
+Processor::precompile(OpKind op, size_t width)
 {
-    const auto sig = signatureOf(op, a.bits);
-    if (sig.numInputs != 1 || sig.hasSel)
-        fatal("Processor::run: operation is not unary");
-    execute(program(op, a.bits), {&info(a)}, info(dst));
+    const MicroProgram &prog = program(op, width);
+    if (replay_mode_ == ReplayMode::Batched)
+        planFor(prog);
+}
+
+const std::vector<Processor::Segment> &
+Processor::segments(const VecHandle &v) const
+{
+    return info(v).segments;
 }
 
 void
 Processor::run(OpKind op, const VecHandle &dst, const VecHandle &a,
-               const VecHandle &b)
+               size_t bank)
+{
+    const auto sig = signatureOf(op, a.bits);
+    if (sig.numInputs != 1 || sig.hasSel)
+        fatal("Processor::run: operation is not unary");
+    const VecInfo *in[] = {&info(a)};
+    execute(program(op, a.bits), in, 1, info(dst), bank);
+}
+
+void
+Processor::run(OpKind op, const VecHandle &dst, const VecHandle &a,
+               const VecHandle &b, size_t bank)
 {
     const auto sig = signatureOf(op, a.bits);
     if (sig.numInputs != 2 || sig.hasSel)
         fatal("Processor::run: operation is not binary");
     if (a.bits != b.bits)
         fatal("Processor::run: operand width mismatch");
-    execute(program(op, a.bits), {&info(a), &info(b)}, info(dst));
+    const VecInfo *in[] = {&info(a), &info(b)};
+    execute(program(op, a.bits), in, 2, info(dst), bank);
 }
 
 void
 Processor::run(OpKind op, const VecHandle &dst, const VecHandle &a,
-               const VecHandle &b, const VecHandle &sel)
+               const VecHandle &b, const VecHandle &sel, size_t bank)
 {
     const auto sig = signatureOf(op, a.bits);
     if (!(sig.numInputs == 2 && sig.hasSel))
         fatal("Processor::run: operation is not predicated");
     if (sel.bits != 1)
         fatal("Processor::run: predicate must be 1 bit wide");
-    execute(program(op, a.bits), {&info(a), &info(b), &info(sel)},
-            info(dst));
+    const VecInfo *in[] = {&info(a), &info(b), &info(sel)};
+    execute(program(op, a.bits), in, 3, info(dst), bank);
 }
 
 const ReplayPlan &
@@ -362,21 +392,44 @@ Processor::planFor(const MicroProgram &prog)
     return it->second;
 }
 
+const char *
+Processor::placementError(const PlacedSegment *inputs, size_t n,
+                          PlacedSegment out)
+{
+    const Segment &seg0 = *inputs[0].seg;
+    for (size_t i = 0; i < n; ++i) {
+        const Segment &seg = *inputs[i].seg;
+        if (seg.bank != seg0.bank || seg.sub != seg0.sub)
+            return "operands are not co-located; allocate matching "
+                   "vectors back to back";
+    }
+    if (out.seg->bank != seg0.bank || out.seg->sub != seg0.sub)
+        return "destination is not co-located with the operands";
+    const uint32_t out_end =
+        out.seg->baseRow + static_cast<uint32_t>(out.bits);
+    for (size_t i = 0; i < n; ++i) {
+        const uint32_t in_end =
+            inputs[i].seg->baseRow + static_cast<uint32_t>(inputs[i].bits);
+        if (inputs[i].seg->baseRow < out_end &&
+            out.seg->baseRow < in_end)
+            return "destination overlaps an operand; in-place "
+                   "execution is not supported";
+    }
+    return nullptr;
+}
+
 void
-Processor::execute(const MicroProgram &prog,
-                   const std::vector<const VecInfo *> &inputs,
-                   const VecInfo &out)
+Processor::execute(const MicroProgram &prog, const VecInfo *const *inputs,
+                   size_t n, const VecInfo &out, size_t bank)
 {
     const DramConfig &cfg = device_.config();
-    if (inputs.empty())
-        panic("Processor::execute: no inputs");
     const size_t elements = inputs[0]->elements;
-    for (const VecInfo *vi : inputs)
-        if (vi->elements != elements)
+    for (size_t i = 0; i < n; ++i)
+        if (inputs[i]->elements != elements)
             fatal("Processor: operand element counts differ");
     if (out.elements != elements)
         fatal("Processor: destination element count differs");
-    if (inputs.size() != prog.inputRegions.size())
+    if (n != prog.inputRegions.size())
         panic("Processor: operand count does not match μProgram");
     const size_t expected_out = prog.outputRowCount();
     if (out.bits != expected_out)
@@ -386,58 +439,43 @@ Processor::execute(const MicroProgram &prog,
     const uint32_t scratch_base = static_cast<uint32_t>(
         cfg.rowsPerSubarray - cfg.scratchRows);
     const bool batched = replay_mode_ == ReplayMode::Batched;
+    const ReplayPlan *plan = batched ? &planFor(prog) : nullptr;
 
-    // Validation + binding pass: one SegmentBinding per segment, with
-    // region bases ordered inputs / outputs / scratch (the layout
-    // both ControlUnit and ReplayPlan use).
-    std::vector<ReplayPlan::SegmentBinding> segs;
+    // Every segment is checked before any replays, so a misplaced
+    // operation fails with no side effect. Region bases are ordered
+    // inputs / outputs / scratch, the layout both ControlUnit and
+    // ReplayPlan use.
+    constexpr size_t kMaxInputs = 3;
+    if (n > kMaxInputs)
+        panic("Processor::execute: too many inputs");
     const size_t n_segs = inputs[0]->segments.size();
-    segs.reserve(n_segs);
     for (size_t s = 0; s < n_segs; ++s) {
-        const Segment &seg0 = inputs[0]->segments[s];
-        ReplayPlan::SegmentBinding binding;
-        binding.bases.reserve(inputs.size() + 2);
-        for (const VecInfo *vi : inputs) {
-            const Segment &seg = vi->segments[s];
-            if (seg.bank != seg0.bank || seg.sub != seg0.sub)
-                fatal("Processor: operands are not co-located; "
-                      "allocate matching vectors back to back");
-            binding.bases.push_back(seg.baseRow);
-        }
+        PlacedSegment placed[kMaxInputs];
+        for (size_t i = 0; i < n; ++i)
+            placed[i] = {&inputs[i]->segments[s], inputs[i]->bits};
+        if (const char *why = placementError(
+                placed, n, {&out.segments[s], out.bits}))
+            fatal(std::string("Processor: ") + why);
+    }
+    for (size_t s = 0; s < n_segs; ++s) {
         const Segment &oseg = out.segments[s];
-        if (oseg.bank != seg0.bank || oseg.sub != seg0.sub)
-            fatal("Processor: destination is not co-located with "
-                  "the operands");
-        // The μProgram may write output rows before its last read of
-        // the inputs, so in-place operation is not supported.
-        for (const VecInfo *vi : inputs) {
-            const Segment &seg = vi->segments[s];
-            const uint32_t in_end =
-                seg.baseRow + static_cast<uint32_t>(vi->bits);
-            const uint32_t out_end =
-                oseg.baseRow + static_cast<uint32_t>(out.bits);
-            if (seg.baseRow < out_end && oseg.baseRow < in_end)
-                fatal("Processor: destination overlaps an operand; "
-                      "in-place execution is not supported");
+        if (bank != kAllBanks && oseg.bank != bank)
+            continue;
+        uint32_t bases[kMaxInputs + 2];
+        for (size_t i = 0; i < n; ++i)
+            bases[i] = inputs[i]->segments[s].baseRow;
+        bases[n] = oseg.baseRow;
+        bases[n + 1] = scratch_base;
+        Subarray &sub = device_.bank(oseg.bank).subarray(oseg.sub);
+        sub.useReferencePath(!batched);
+        if (batched) {
+            plan->replaySegment(sub, bases);
+            continue;
         }
-        binding.bases.push_back(oseg.baseRow);
-        binding.bases.push_back(scratch_base);
-        binding.sub = &device_.bank(seg0.bank).subarray(seg0.sub);
-        binding.sub->useReferencePath(!batched);
-        segs.push_back(std::move(binding));
-    }
-
-    if (batched) {
-        planFor(prog).replayBatch(segs);
-        return;
-    }
-    // Reference mode: the seed per-segment path, re-binding and
-    // re-dispatching through the control unit.
-    for (const ReplayPlan::SegmentBinding &b : segs) {
-        const std::vector<uint32_t> in_bases(
-            b.bases.begin(), b.bases.end() - 2);
-        cu_.execute(*b.sub, prog, in_bases,
-                    {b.bases[b.bases.size() - 2]}, scratch_base);
+        // Reference mode: the seed per-segment path, re-binding and
+        // re-dispatching through the control unit.
+        cu_.execute(sub, prog, std::vector<uint32_t>(bases, bases + n),
+                    {oseg.baseRow}, scratch_base);
     }
 }
 

@@ -17,11 +17,22 @@
  *   auto stats = p.computeStats();
  *
  * Vectors are stored vertically; elements are striped across banks in
- * subarray-sized segments (cfg.rowBits lanes each), and banks execute
- * segments concurrently. Operands of one operation must be
- * co-located (allocated while the same subarrays are current), which
- * the sequential allocator guarantees for identically sized vectors
- * allocated together.
+ * subarray-sized segments (cfg.rowBits lanes each; segment s sits in
+ * bank s mod computeBanks), and banks execute segments concurrently.
+ * Operands of one operation must be co-located (allocated while the
+ * same subarrays are current), which the sequential allocator
+ * guarantees for identically sized vectors allocated together.
+ *
+ * Bank parts: the segment-wise calls take an optional compute bank
+ * and then touch only that bank's segments. Banks share no rows,
+ * compute cells or statistics, so calls for distinct banks may run on
+ * different threads at once, provided that (a) no other call runs
+ * meanwhile, (b) every operation they run was compiled beforehand
+ * (precompile()), and (c) no fault mechanism is active (faultFree():
+ * a fault injector counts TRAs device-wide). A bank-filtered store or
+ * load moves data only; the caller accounts the whole transfer once
+ * with accountTransfer(), in serial order, because the transposition
+ * unit's statistics are shared by the banks.
  *
  * Three backends share this interface: the SIMDRAM compiler (greedy
  * allocation), the SIMDRAM compiler with naive allocation (ablation),
@@ -84,6 +95,36 @@ class Processor
         bool valid() const { return id != UINT32_MAX; }
     };
 
+    /** Where one subarray-sized piece of a vector lives. */
+    struct Segment
+    {
+        size_t bank = 0;
+        size_t sub = 0;
+        uint32_t baseRow = 0;
+        size_t lanes = 0; ///< Elements in this segment.
+    };
+
+    /** One operand segment of an operation, with its row count. */
+    struct PlacedSegment
+    {
+        const Segment *seg = nullptr;
+        size_t bits = 0;
+    };
+
+    /** Selects every compute bank in the bank-filtered calls. */
+    static constexpr size_t kAllBanks = SIZE_MAX;
+
+    /**
+     * @return Why an operation cannot run on one segment of its
+     *         @p n inputs and destination @p out, or nullptr if it
+     *         can: every segment must sit in the first input's bank
+     *         and subarray, and the destination's rows must overlap
+     *         no input's (a μProgram may write an output row before
+     *         its last read of the inputs).
+     */
+    static const char *placementError(const PlacedSegment *inputs,
+                                      size_t n, PlacedSegment out);
+
     /**
      * @param cfg Device configuration.
      * @param backend μProgram compiler selection.
@@ -120,9 +161,18 @@ class Processor
      * Stores @p n elements from @p data into @p v (pointer variant:
      * lets callers stage slices of a larger host buffer — e.g. one
      * shard of a DeviceGroup vector — without copying into a
-     * temporary). @p n must equal the vector's element count.
+     * temporary). @p n must equal the vector's element count. With
+     * a @p bank, only that bank's segments are written, with no
+     * accounting (see the file comment).
      */
-    void store(const VecHandle &v, const uint64_t *data, size_t n);
+    void store(const VecHandle &v, const uint64_t *data, size_t n,
+               size_t bank = kAllBanks);
+
+    /**
+     * Adds the transfer cost of one store or load of @p v, segment
+     * by segment, as store()/loadInto() without a bank do.
+     */
+    void accountTransfer(const VecHandle &v);
 
     /**
      * Fills every element of @p v with @p value using in-DRAM row
@@ -131,7 +181,8 @@ class Processor
      * channel traffic. This is the bbop_init path — far cheaper than
      * transposing a host buffer of identical values.
      */
-    void fillConstant(const VecHandle &v, uint64_t value);
+    void fillConstant(const VecHandle &v, uint64_t value,
+                      size_t bank = kAllBanks);
 
     /**
      * Logical shift left within each element: dst = src << k.
@@ -143,11 +194,11 @@ class Processor
      * co-located, same-shape vectors.
      */
     void shiftLeft(const VecHandle &dst, const VecHandle &src,
-                   size_t k);
+                   size_t k, size_t bank = kAllBanks);
 
     /** Logical shift right within each element: dst = src >> k. */
     void shiftRight(const VecHandle &dst, const VecHandle &src,
-                    size_t k);
+                    size_t k, size_t bank = kAllBanks);
 
     /** Loads a vector back into host (horizontal) layout. */
     std::vector<uint64_t> load(const VecHandle &v);
@@ -155,29 +206,49 @@ class Processor
     /**
      * Loads a vector into @p out, which must have room for the
      * vector's element count (pointer variant of load(), for writing
-     * straight into a slice of a larger host buffer).
+     * straight into a slice of a larger host buffer). With a
+     * @p bank, only that bank's segments are read, with no
+     * accounting.
      */
-    void loadInto(const VecHandle &v, uint64_t *out);
+    void loadInto(const VecHandle &v, uint64_t *out,
+                  size_t bank = kAllBanks);
 
     /** Executes a unary operation: dst = op(a). */
-    void run(OpKind op, const VecHandle &dst, const VecHandle &a);
+    void run(OpKind op, const VecHandle &dst, const VecHandle &a,
+             size_t bank = kAllBanks);
 
     /** Executes a binary operation: dst = op(a, b). */
     void run(OpKind op, const VecHandle &dst, const VecHandle &a,
-             const VecHandle &b);
+             const VecHandle &b, size_t bank = kAllBanks);
 
     /**
      * Executes a predicated operation (if_else):
      * dst = sel ? a : b, with @p sel a 1-bit vector.
      */
     void run(OpKind op, const VecHandle &dst, const VecHandle &a,
-             const VecHandle &b, const VecHandle &sel);
+             const VecHandle &b, const VecHandle &sel,
+             size_t bank = kAllBanks);
 
     /**
      * @return The compiled μProgram for @p op at @p width under the
      *         current backend (compiled once, cached).
      */
     const MicroProgram &program(OpKind op, size_t width);
+
+    /**
+     * Compiles @p op at @p width, μProgram and replay plan, so later
+     * run() calls only read the caches (see the file comment).
+     */
+    void precompile(OpKind op, size_t width);
+
+    /** @return The segments of @p v, in element order. */
+    const std::vector<Segment> &segments(const VecHandle &v) const;
+
+    /**
+     * @return True if no subarray has a TRA fault mechanism active
+     *         (Subarray::faultFree()) and no injector is installed.
+     */
+    bool faultFree() const { return device_.faultFree(); }
 
     /** @return Compute statistics (banks merged in parallel). */
     DramStats computeStats() const;
@@ -221,15 +292,6 @@ class Processor
     OperationLibrary &library() { return lib_; }
 
   private:
-    /** One subarray-sized piece of a vector. */
-    struct Segment
-    {
-        size_t bank = 0;
-        size_t sub = 0;
-        uint32_t baseRow = 0;
-        size_t lanes = 0; ///< Elements in this segment.
-    };
-
     struct VecInfo
     {
         size_t elements = 0;
@@ -252,9 +314,13 @@ class Processor
     Segment reserveSegment(size_t seg_idx, size_t rows,
                            size_t lanes);
 
-    void execute(const MicroProgram &prog,
-                 const std::vector<const VecInfo *> &inputs,
-                 const VecInfo &out);
+    /** Runs @p prog over @p n inputs, on @p bank's segments. */
+    void execute(const MicroProgram &prog, const VecInfo *const *inputs,
+                 size_t n, const VecInfo &out, size_t bank);
+
+    /** Shared body of shiftLeft()/shiftRight(). */
+    void shift(const VecHandle &dst, const VecHandle &src, size_t k,
+               bool left, size_t bank);
 
     /** @return The cached replay plan for @p prog (built once). */
     const ReplayPlan &planFor(const MicroProgram &prog);

@@ -21,7 +21,7 @@ struct ReplayScratch
     std::vector<uint64_t> arena;          ///< TRA value slots.
     std::vector<const uint64_t *> values; ///< Value table words.
     std::vector<BitRow *> regions;        ///< Region base rows.
-    std::vector<BitRow> snaps;            ///< Input-valued groups.
+    std::vector<uint64_t> snaps;          ///< Input-valued groups.
 };
 
 thread_local ReplayScratch t_scratch;
@@ -318,9 +318,7 @@ ReplayPlan::compile(const MicroProgram &prog)
         tras_.push_back(op);
     }
 
-    // Write-back groups in row order, the pure aliases (constants and
-    // un-negated inputs) first: their rows drop old payloads that a
-    // later group may then find unshared and overwrite in place.
+    // Write-back groups, in row order.
     std::vector<std::pair<Val, std::vector<RowRef>>> groups;
     for (uint32_t key : finals) {
         const Val v = cur[key];
@@ -333,10 +331,6 @@ ReplayPlan::compile(const MicroProgram &prog)
             it = groups.insert(groups.end(), {v, {}});
         it->second.push_back(rowRef(key));
     }
-    std::stable_partition(groups.begin(), groups.end(),
-                          [&](const auto &g) {
-                              return !g.first.neg && !isTra(g.first.id);
-                          });
     for (const auto &[v, rows] : groups) {
         WriteGroup g;
         g.value = table[v.id];
@@ -351,7 +345,7 @@ ReplayPlan::compile(const MicroProgram &prog)
 
 bool
 ReplayPlan::scheduleApplies(const Subarray &sub,
-                            const std::vector<uint32_t> &bases) const
+                            const uint32_t *bases) const
 {
     if (!compiled_ || sub.referencePath() || !sub.faultFree())
         return false;
@@ -373,8 +367,7 @@ ReplayPlan::scheduleApplies(const Subarray &sub,
 }
 
 void
-ReplayPlan::runSchedule(Subarray &sub,
-                        const std::vector<uint32_t> &bases) const
+ReplayPlan::runSchedule(Subarray &sub, const uint32_t *bases) const
 {
     ReplayScratch &s = t_scratch;
     const Subarray::Cells cells = sub.replayCells();
@@ -407,52 +400,44 @@ ReplayPlan::runSchedule(Subarray &sub,
                                op.mask[1], s.values[op.in[2]],
                                op.mask[2], nw);
 
+    // Copy the input values that groups store before any write: two
+    // groups may swap rows' values.
     const size_t first_input = 2;
     const size_t end_input = 2 + inputs_.size();
     auto isInput = [&](uint32_t v) {
         return v >= first_input && v < end_input;
     };
-    // Snapshot the input values before any write: a payload that a
-    // snapshot holds is shared, so no in-place write below changes it
-    // (two groups may swap rows' values).
-    s.snaps.clear();
+    size_t n_snaps = 0;
     for (const WriteGroup &g : groups_)
-        if (isInput(g.value))
-            s.snaps.push_back(*row(inputs_[g.value - first_input]));
-
-    size_t snap = 0;
+        n_snaps += isInput(g.value) ? 1 : 0;
+    if (s.snaps.size() < n_snaps * nw)
+        s.snaps.resize(n_snaps * nw);
+    uint64_t *snap = s.snaps.data();
     for (const WriteGroup &g : groups_) {
-        const RowRef *members = group_rows_.data() + g.first;
-        const BitRow *src = nullptr;
-        if (g.value == kC0 || g.value == kC1)
-            src = g.value == kC0 ? cells.c0 : cells.c1;
-        else if (isInput(g.value))
-            src = &s.snaps[snap++];
-        if (src != nullptr && !g.negated) {
-            for (uint32_t m = 0; m < g.count; ++m)
-                src->aapInto(*row(members[m]));
-            continue;
+        if (isInput(g.value)) {
+            std::copy_n(s.values[g.value], nw, snap);
+            snap += nw;
         }
-        BitRow *dst = row(members[0]);
-        for (uint32_t m = 0; m < g.count; ++m) {
-            if (row(members[m])->unshared()) {
-                dst = row(members[m]);
-                break;
-            }
-        }
-        if (src != nullptr)
-            dst->assignNot(*src);
-        else
-            dst->assignWords(s.values[g.value], g.negated);
-        for (uint32_t m = 0; m < g.count; ++m)
-            dst->aapInto(*row(members[m]));
     }
-    s.snaps.clear();
+
+    // Every member row takes the value into its own payload: a row the
+    // schedule writes never shares a payload with another row, so the
+    // next replay finds it unshared and overwrites it in place.
+    snap = s.snaps.data();
+    for (const WriteGroup &g : groups_) {
+        const uint64_t *src = s.values[g.value];
+        if (isInput(g.value)) {
+            src = snap;
+            snap += nw;
+        }
+        const RowRef *members = group_rows_.data() + g.first;
+        for (uint32_t m = 0; m < g.count; ++m)
+            row(members[m])->assignWords(src, g.negated);
+    }
 }
 
 void
-ReplayPlan::replaySegment(Subarray &sub,
-                          const std::vector<uint32_t> &bases) const
+ReplayPlan::replaySegment(Subarray &sub, const uint32_t *bases) const
 {
     if (scheduleApplies(sub, bases)) {
         runSchedule(sub, bases);
@@ -477,19 +462,7 @@ ReplayPlan::replay(Subarray &sub,
 {
     if (bases.size() != n_regions_)
         panic("ReplayPlan: wrong number of region bases");
-    replaySegment(sub, bases);
-}
-
-void
-ReplayPlan::replayBatch(const std::vector<SegmentBinding> &segs) const
-{
-    for (const SegmentBinding &s : segs)
-        if (s.sub == nullptr || s.bases.size() != n_regions_)
-            panic("ReplayPlan: malformed segment binding");
-    // Back to back in the caller's order: the order the reference
-    // path issues TRAs in, so fault ordinals land identically.
-    for (const SegmentBinding &s : segs)
-        replaySegment(*s.sub, s.bases);
+    replaySegment(sub, bases.data());
 }
 
 } // namespace simdram

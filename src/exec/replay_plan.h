@@ -27,16 +27,16 @@
  *    pair; rows holding the same pair form one write-back group.
  *
  * Replaying a segment runs the majorities into one per-thread arena
- * and then stores each group's value once: into a member row whose
- * payload no other row or copy holds, in place, or — only when every
- * member is shared — into a freshly allocated payload; the group's
- * other rows alias that one (copy-on-write, BitRow). The rows read as
- * inputs are snapshotted (one BitRow copy each) before any write, so
- * a payload that a snapshot or an outside copy holds has two owners
- * and is never overwritten in place. Segments replay back to back in
- * their original order, each adding the plan's precomputed DramStats
- * once, so memory state and statistics equal the per-command path
- * (asserted by the replay-equivalence tests).
+ * and then stores each group's value into every member row, in
+ * place while the row's payload is unshared (copy-on-write, BitRow:
+ * a payload an outside copy holds detaches first). The input values
+ * that groups store are copied aside before any write, since two
+ * groups may swap rows' values. No row the schedule writes ends up
+ * sharing a payload, so a steady-state replay allocates nothing.
+ * Segments replay back to back in their original order, each adding
+ * the plan's precomputed DramStats once, so memory state and
+ * statistics equal the per-command path (asserted by the
+ * replay-equivalence tests).
  *
  * The schedule assumes a TRA is a pure majority and that the rows a
  * μProgram writes are distinct from every other row it touches. A
@@ -64,14 +64,6 @@ namespace simdram
 class ReplayPlan
 {
   public:
-    /** One segment to replay: a target subarray plus its base rows. */
-    struct SegmentBinding
-    {
-        Subarray *sub = nullptr; ///< Target subarray.
-        /** Base row per region: inputs, then outputs, then scratch. */
-        std::vector<uint32_t> bases;
-    };
-
     ReplayPlan() = default;
 
     /**
@@ -86,7 +78,10 @@ class ReplayPlan
      */
     ReplayPlan(const MicroProgram &prog, const DramConfig &cfg);
 
-    /** @return Number of region bases a SegmentBinding must carry. */
+    /**
+     * @return Number of region bases a segment binds: inputs, then
+     *         outputs, then scratch.
+     */
     size_t regionCount() const { return n_regions_; }
 
     /** @return Number of μOps in the plan. */
@@ -102,19 +97,23 @@ class ReplayPlan
     /** @return The statistics of one full stream replay. */
     const DramStats &segmentStats() const { return seg_stats_; }
 
-    /** Replays the μOp stream on one segment. */
+    /** Replays the μOp stream on one segment (see replaySegment()). */
     void replay(Subarray &sub,
                 const std::vector<uint32_t> &bases) const;
 
-    /** Replays the μOp stream on each of @p segs, in order. */
-    void replayBatch(const std::vector<SegmentBinding> &segs) const;
+    /**
+     * Replays one segment whose regionCount() base rows start at
+     * @p bases, then adds its statistics. Allocates nothing once the
+     * calling thread's scratch has grown to the plan's size.
+     */
+    void replaySegment(Subarray &sub, const uint32_t *bases) const;
 
   private:
     /** One resolved μOp operand. */
     struct Operand
     {
         RowAddr fixed;       ///< Used when !isData.
-        uint32_t region = 0; ///< Index into SegmentBinding::bases.
+        uint32_t region = 0; ///< Index into the segment's bases.
         uint32_t offset = 0; ///< Row offset within the region.
         bool isData = false; ///< Region-relative vs. fixed address.
     };
@@ -164,15 +163,10 @@ class ReplayPlan
 
     /** @return True if @p bases may replay through the schedule. */
     bool scheduleApplies(const Subarray &sub,
-                         const std::vector<uint32_t> &bases) const;
+                         const uint32_t *bases) const;
 
     /** Replays one segment through the schedule. */
-    void runSchedule(Subarray &sub,
-                     const std::vector<uint32_t> &bases) const;
-
-    /** Replays one segment, then adds its statistics. */
-    void replaySegment(Subarray &sub,
-                       const std::vector<uint32_t> &bases) const;
+    void runSchedule(Subarray &sub, const uint32_t *bases) const;
 
     std::vector<PlanOp> ops_;
     size_t n_regions_ = 0;

@@ -1,13 +1,42 @@
 #include "layout/transposition_unit.h"
 
+#include <vector>
+
 #include "common/error.h"
 #include "layout/transpose.h"
 
 namespace simdram
 {
 
+namespace
+{
+
+// Row-pointer tables, one per thread, reused across transfers.
+thread_local std::vector<BitRow *> t_rows;
+thread_local std::vector<const BitRow *> t_const_rows;
+
+} // namespace
+
 void
 TranspositionUnit::storeVertical(Subarray &sub, uint32_t base_row,
+                                 size_t bits, const uint64_t *elems,
+                                 size_t n)
+{
+    writeVertical(sub, base_row, bits, elems, n);
+    account(bits, n);
+}
+
+void
+TranspositionUnit::loadVerticalInto(const Subarray &sub,
+                                    uint32_t base_row, size_t bits,
+                                    uint64_t *out, size_t n)
+{
+    readVertical(sub, base_row, bits, out, n);
+    account(bits, n);
+}
+
+void
+TranspositionUnit::writeVertical(Subarray &sub, uint32_t base_row,
                                  size_t bits, const uint64_t *elems,
                                  size_t n)
 {
@@ -16,24 +45,20 @@ TranspositionUnit::storeVertical(Subarray &sub, uint32_t base_row,
     // Transpose straight into the resident rows; the Into kernel
     // overwrites every word (lanes beyond n become zero), exactly as
     // poking freshly transposed rows did.
-    std::vector<BitRow *> rows(bits);
+    t_rows.resize(bits);
     for (size_t j = 0; j < bits; ++j)
-        rows[j] = &sub.pokeDataRow(base_row + j);
-    elementsToRowsInto(elems, n, bits, rows.data());
-    account(bits, n);
+        t_rows[j] = &sub.pokeDataRow(base_row + j);
+    elementsToRowsInto(elems, n, bits, t_rows.data());
 }
 
-std::vector<uint64_t>
-TranspositionUnit::loadVertical(const Subarray &sub, uint32_t base_row,
-                                size_t bits, size_t n)
+void
+TranspositionUnit::readVertical(const Subarray &sub, uint32_t base_row,
+                                size_t bits, uint64_t *out, size_t n)
 {
-    std::vector<const BitRow *> rows(bits);
+    t_const_rows.resize(bits);
     for (size_t j = 0; j < bits; ++j)
-        rows[j] = &sub.peekData(base_row + j);
-    account(bits, n);
-    std::vector<uint64_t> elems(n, 0);
-    rowsToElementsInto(rows.data(), bits, elems.data(), n);
-    return elems;
+        t_const_rows[j] = &sub.peekData(base_row + j);
+    rowsToElementsInto(t_const_rows.data(), bits, out, n);
 }
 
 void

@@ -40,15 +40,41 @@ class TranspositionUnit
 
     /**
      * Stores @p n elements vertically into rows
-     * [base_row, base_row + bits) of @p sub, lanes [0, n).
+     * [base_row, base_row + bits) of @p sub, lanes [0, n), and
+     * accounts the transfer.
      */
     void storeVertical(Subarray &sub, uint32_t base_row, size_t bits,
                        const uint64_t *elems, size_t n);
 
-    /** Loads @p n elements back from vertical layout. */
-    std::vector<uint64_t> loadVertical(const Subarray &sub,
-                                       uint32_t base_row, size_t bits,
-                                       size_t n);
+    /**
+     * Loads @p n elements back from vertical layout into @p out and
+     * accounts the transfer.
+     */
+    void loadVerticalInto(const Subarray &sub, uint32_t base_row,
+                          size_t bits, uint64_t *out, size_t n);
+
+    /**
+     * The data movement of storeVertical() alone, with no
+     * accounting: banks of one device may transpose concurrently,
+     * while account() keeps its callers' serial order (the latency
+     * sum is floating point, so its order is part of the result).
+     * Allocates nothing once the calling thread's row table has
+     * grown to @p bits.
+     */
+    static void writeVertical(Subarray &sub, uint32_t base_row,
+                              size_t bits, const uint64_t *elems,
+                              size_t n);
+
+    /** The data movement of loadVerticalInto() alone. */
+    static void readVertical(const Subarray &sub, uint32_t base_row,
+                             size_t bits, uint64_t *out, size_t n);
+
+    /**
+     * Adds the cost of moving @p rows rows of @p bits_each bits: one
+     * vertical store or load of a segment (rows = element width,
+     * bits_each = lanes).
+     */
+    void account(size_t rows, size_t bits_each);
 
     /** @return Accumulated transfer statistics. */
     const DramStats &stats() const { return stats_; }
@@ -57,9 +83,6 @@ class TranspositionUnit
     void resetStats() { stats_.reset(); }
 
   private:
-    /** Adds the cost of moving @p rows rows of @p bits_each bits. */
-    void account(size_t rows, size_t bits_each);
-
     DramConfig cfg_;
     DramStats stats_;
 };

@@ -74,6 +74,7 @@ DeviceGroup::alloc(size_t elements, size_t bits)
     vs->handles.resize(devices);
     vs->offsets.assign(devices, 0);
     vs->counts.assign(devices, 0);
+    vs->segments.resize(devices);
 
     size_t seg_start = 0;
     for (size_t d = 0; d < devices; ++d) {
@@ -89,6 +90,7 @@ DeviceGroup::alloc(size_t elements, size_t bits)
         if (count > 0) {
             auto lock = lockDevice(d);
             vs->handles[d] = procs_[d]->alloc(count, bits);
+            vs->segments[d] = procs_[d]->segments(vs->handles[d]);
         }
         seg_start += segs;
     }
@@ -155,6 +157,7 @@ DeviceGroup::shardView(const ShardedVec &v, size_t d) const
     view.handle = vs.handles[d];
     view.offset = vs.offsets[d];
     view.count = vs.counts[d];
+    view.segments = &vs.segments[d];
     return view;
 }
 

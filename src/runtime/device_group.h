@@ -32,9 +32,13 @@
  * that device's mutex (lockDevice(d)); the synchronous methods do so
  * internally, while the per-shard primitives leave locking to the
  * caller so a worker can hold the device across a whole batch of
- * instructions. Mixing synchronous whole-vector calls with in-flight
+ * instructions. The lock holder may run the bank parts of its work
+ * on other threads while it holds the lock (Processor's bank-filtered
+ * calls; the StreamExecutor's helpers), joining them before it
+ * releases it. Mixing synchronous whole-vector calls with in-flight
  * StreamExecutor streams is memory-safe but has unspecified ordering;
- * call StreamExecutor::sync() first.
+ * call StreamExecutor::sync() first. faultInjector() takes the device
+ * lock, so a lock holder asks Processor::faultFree() instead.
  */
 
 #ifndef SIMDRAM_RUNTIME_DEVICE_GROUP_H
@@ -166,6 +170,9 @@ class DeviceGroup
         Processor::VecHandle handle; ///< Invalid when count == 0.
         size_t offset = 0; ///< First whole-vector element index.
         size_t count = 0;  ///< Elements on this device.
+        /** The shard's segments (empty when count == 0), captured at
+         *  alloc(): readable without the device lock. */
+        const std::vector<Processor::Segment> *segments = nullptr;
     };
 
     /** @return The resolved view of @p v's shard on device @p d. */
@@ -263,6 +270,8 @@ class DeviceGroup
         std::vector<size_t> offsets;
         /** Per-device element count. */
         std::vector<size_t> counts;
+        /** Per-device segments (Processor::segments() at alloc). */
+        std::vector<std::vector<Processor::Segment>> segments;
         /** Set by release(); any further use of the handle is fatal. */
         bool released = false;
         /** Mutation generation (see mutationGen()); metadata, so

@@ -82,6 +82,43 @@ struct StreamExecutor::PreparedInstr
     Views dstV, src1V, src2V, selV;
 };
 
+/** One compute bank's share of a device job (see runSplit()). */
+struct StreamExecutor::BankPart
+{
+    enum class State
+    {
+        Queued,  ///< Posted; no thread has started it.
+        Running, ///< A helper or the worker runs it.
+        Done,
+    };
+
+    const std::vector<PreparedInstr> *prog = nullptr;
+    size_t device = 0;
+    size_t bank = 0;
+    State state = State::Queued; ///< Guarded by Helpers::mu.
+    std::exception_ptr error;
+};
+
+/**
+ * The host helper threads, shared by every device worker. A worker
+ * posts the bank parts of its job to one FIFO; any idle helper pops
+ * the front part and runs it. Started on the first split job.
+ */
+struct StreamExecutor::Helpers
+{
+    explicit Helpers(size_t n) : count(n) {}
+
+    const size_t count;
+    std::mutex mu;
+    std::condition_variable work_cv; ///< A part was posted, or stop.
+    std::condition_variable done_cv; ///< A part finished.
+    std::deque<BankPart *> queue;
+    /** queue.size(), written under mu, read by spinning helpers. */
+    std::atomic<size_t> queued{0};
+    std::vector<std::thread> threads;
+    bool stop = false;
+};
+
 /** Per-device worker thread and its FIFO of stream jobs. */
 struct StreamExecutor::Worker
 {
@@ -99,6 +136,8 @@ struct StreamExecutor::Worker
     std::deque<Job> q;
     bool busy = false;
     bool stop = false;
+    /** Bank parts of the running job; only the worker resizes it. */
+    std::vector<BankPart> parts;
 };
 
 /**
@@ -176,6 +215,14 @@ StreamExecutor::StreamExecutor(DeviceGroup &group,
         fault_counts_[d].store(0, std::memory_order_relaxed);
         healthy_[d].store(true, std::memory_order_relaxed);
     }
+    // Helpers use the cores the device workers leave free, and a
+    // device never needs more than one per extra compute bank.
+    const size_t cores = std::thread::hardware_concurrency();
+    helpers_ = std::make_unique<Helpers>(
+        cores > devices
+            ? std::min(cores - devices,
+                       devices * (group.config().computeBanks - 1))
+            : 0);
     workers_.reserve(devices);
     for (size_t d = 0; d < devices; ++d)
         workers_.push_back(std::make_unique<Worker>());
@@ -194,12 +241,25 @@ StreamExecutor::~StreamExecutor()
     }
     for (auto &w : workers_)
         w->th.join();
+    {
+        std::lock_guard<std::mutex> lock(helpers_->mu);
+        helpers_->stop = true;
+    }
+    helpers_->work_cv.notify_all();
+    for (std::thread &t : helpers_->threads)
+        t.join();
 }
 
 size_t
 StreamExecutor::workerCount() const
 {
     return workers_.size();
+}
+
+size_t
+StreamExecutor::hostHelperCount() const
+{
+    return helpers_->count;
 }
 
 // The lifetime counters are written only under submit_mu_ but read
@@ -460,6 +520,7 @@ StreamExecutor::resolveSegment(
             pi.src2V = viewsOf(pi.src2);
         if (pi.sel != nullptr)
             pi.selV = viewsOf(pi.sel);
+        checkPlacement(pi, out.size());
         out.push_back(std::move(pi));
     }
 
@@ -468,7 +529,61 @@ StreamExecutor::resolveSegment(
 }
 
 void
-StreamExecutor::reserveQueueSpace(size_t segments)
+StreamExecutor::checkPlacement(const PreparedInstr &pi, size_t index)
+{
+    const BbopInstr &in = pi.instr;
+    if (in.opcode != BbopOpcode::Op && in.opcode != BbopOpcode::ShiftL &&
+        in.opcode != BbopOpcode::ShiftR)
+        return;
+    const PreparedInstrViews *inputs[] = {&pi.src1V, &pi.src2V,
+                                          &pi.selV};
+    size_t n = 0;
+    while (n < 3 && *inputs[n] != nullptr)
+        ++n;
+    for (size_t d = 0; d < pi.dstV->size(); ++d) {
+        const DeviceGroup::ShardView &dv = (*pi.dstV)[d];
+        if (dv.count == 0)
+            continue; // execOn skips this device
+        for (size_t s = 0; s < dv.segments->size(); ++s) {
+            Processor::PlacedSegment placed[3];
+            for (size_t i = 0; i < n; ++i) {
+                const DeviceGroup::ShardView &v = (**inputs[i])[d];
+                placed[i] = {&(*v.segments)[s], v.handle.bits};
+            }
+            const char *why = Processor::placementError(
+                placed, n, {&(*dv.segments)[s], dv.handle.bits});
+            if (why != nullptr)
+                throw PlacementError(
+                    "StreamExecutor: instruction #" +
+                    std::to_string(index) + " cannot run on device d" +
+                    std::to_string(d) + ", segment " +
+                    std::to_string(s) + ": " + why);
+        }
+    }
+}
+
+std::vector<size_t>
+StreamExecutor::targetsOf(const std::vector<PreparedInstr> &prog) const
+{
+    std::vector<size_t> out;
+    out.reserve(workers_.size());
+    for (size_t d = 0; d < workers_.size(); ++d)
+        for (const PreparedInstr &pi : prog)
+            if ((*pi.dstV)[d].count != 0) {
+                out.push_back(d);
+                break;
+            }
+    // A program with no work still completes in FIFO order behind
+    // every device's earlier streams.
+    if (out.empty())
+        for (size_t d = 0; d < workers_.size(); ++d)
+            out.push_back(d);
+    return out;
+}
+
+void
+StreamExecutor::reserveQueueSpace(
+    const std::vector<std::vector<size_t>> &targets)
 {
     if (opts_.maxQueuedStreams == 0 ||
         opts_.onFull != BackpressurePolicy::Reject)
@@ -478,9 +593,14 @@ StreamExecutor::reserveQueueSpace(size_t segments)
     // still exists when the caller pushes. The whole submission is
     // rejected unless ALL of its segments fit — a partially enqueued
     // program would not be side-effect-free.
-    for (auto &w : workers_) {
+    std::vector<size_t> jobs(workers_.size(), 0);
+    for (const std::vector<size_t> &t : targets)
+        for (size_t d : t)
+            ++jobs[d];
+    for (size_t d = 0; d < workers_.size(); ++d) {
+        Worker *w = workers_[d].get();
         std::lock_guard<std::mutex> lock(w->mu);
-        if (w->q.size() + segments > opts_.maxQueuedStreams)
+        if (w->q.size() + jobs[d] > opts_.maxQueuedStreams)
             throw StreamRejectedError(
                 "StreamExecutor: device queue full (" +
                 std::to_string(opts_.maxQueuedStreams) +
@@ -642,16 +762,20 @@ StreamExecutor::submitLocked(const StreamIR &ir,
     const auto segs = opt.lower();
     std::map<const Object *, PreparedInstrViews> views;
     std::vector<PreparedProgram> prepared;
+    std::vector<std::vector<size_t>> targets;
     prepared.reserve(segs.size());
-    for (const auto &seg : segs)
+    targets.reserve(segs.size());
+    for (const auto &seg : segs) {
         prepared.push_back(resolveSegment(seg, views));
+        targets.push_back(targetsOf(*prepared.back()));
+    }
 
     // Apply Reject backpressure BEFORE committing anything: a
     // submission turned away by a full queue must be as
     // side-effect-free as a malformed one. (Block waits per segment
     // below instead: committing first is invisible — every observer
     // of the shadow state takes submit_mu_, which we hold.)
-    reserveQueueSpace(segs.size());
+    reserveQueueSpace(targets);
 
     // Accepted: commit the layout of the ORIGINAL program (passes
     // preserve the final layout state) and the exit facts.
@@ -698,7 +822,8 @@ StreamExecutor::submitLocked(const StreamIR &ir,
         double blockedNs = 0.0;
         if (block) {
             const auto t0 = std::chrono::steady_clock::now();
-            for (auto &w : workers_) {
+            for (size_t d : targets[s]) {
+                Worker *w = workers_[d].get();
                 std::unique_lock<std::mutex> wl(w->mu);
                 w->space_cv.wait(wl, [&] {
                     return w->q.size() < opts_.maxQueuedStreams;
@@ -710,7 +835,7 @@ StreamExecutor::submitLocked(const StreamIR &ir,
         }
 
         auto st = std::make_shared<detail::StreamState>();
-        st->remaining = workers_.size();
+        st->remaining = targets[s].size();
         st->result = results[s];
         st->result.backpressureWaitNs = blockedNs;
         st->seq = stream_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -723,7 +848,8 @@ StreamExecutor::submitLocked(const StreamIR &ir,
         st->t0 = entry;
 
         size_t depth = 0;
-        for (auto &w : workers_) {
+        for (size_t d : targets[s]) {
+            Worker *w = workers_[d].get();
             std::lock_guard<std::mutex> wl(w->mu);
             w->q.push_back(Worker::Job{st, prepared[s]});
             depth = std::max(depth, w->q.size());
@@ -883,11 +1009,17 @@ StreamExecutor::runJob(size_t d,
     }
 
     // IntegrityMode::Off is the pre-existing hot path: no snapshot,
-    // no verification loads, no overhead.
+    // no verification loads, no overhead; its compute banks may run
+    // on helper threads.
     if (opts_.integrityMode == IntegrityMode::Off) {
         try {
-            for (const PreparedInstr &pi : prog)
-                execOn(d, pi);
+            const size_t banks = bankParts(d, prog);
+            if (banks > 1) {
+                runSplit(d, prog, banks);
+            } else {
+                for (const PreparedInstr &pi : prog)
+                    execOn(d, pi);
+            }
         } catch (...) {
             return std::current_exception();
         }
@@ -976,6 +1108,154 @@ StreamExecutor::runJob(size_t d,
                     backoffUs));
             devlock.lock();
         }
+    }
+}
+
+size_t
+StreamExecutor::bankParts(size_t d,
+                          const std::vector<PreparedInstr> &prog) const
+{
+    if (helpers_->count == 0)
+        return 1;
+    size_t segs = 0;
+    const Processor *proc = nullptr;
+    for (const PreparedInstr &pi : prog) {
+        const DeviceGroup::ShardView &dv = (*pi.dstV)[d];
+        segs = std::max(segs, dv.segments->size());
+        proc = dv.proc;
+    }
+    const size_t banks =
+        std::min(segs, group_->config().computeBanks);
+    // A fault injector counts TRAs device-wide, so its ordinals only
+    // mean something in serial order.
+    if (banks < 2 || !proc->faultFree())
+        return 1;
+    return banks;
+}
+
+void
+StreamExecutor::runSplit(size_t d,
+                         const std::vector<PreparedInstr> &prog,
+                         size_t banks)
+{
+    // Serial prologue: the transposition unit's statistics are
+    // shared by the banks and summed in floating point, so account
+    // every transfer here in (instruction, segment) order; compile
+    // every operation, so the parts only read the caches.
+    for (const PreparedInstr &pi : prog) {
+        const DeviceGroup::ShardView &dv = (*pi.dstV)[d];
+        if (dv.count == 0)
+            continue;
+        switch (pi.instr.opcode) {
+          case BbopOpcode::Trsp:
+          case BbopOpcode::TrspInv:
+            dv.proc->accountTransfer(dv.handle);
+            break;
+          case BbopOpcode::Op:
+            dv.proc->precompile(pi.instr.op, (*pi.src1V)[d].handle.bits);
+            break;
+          default:
+            break;
+        }
+    }
+
+    std::vector<BankPart> &parts = workers_[d]->parts;
+    parts.assign(banks, BankPart{});
+    for (size_t b = 0; b < banks; ++b) {
+        parts[b].prog = &prog;
+        parts[b].device = d;
+        parts[b].bank = b;
+    }
+    Helpers &h = *helpers_;
+    {
+        std::lock_guard<std::mutex> lock(h.mu);
+        if (h.threads.empty())
+            for (size_t i = 0; i < h.count; ++i)
+                h.threads.emplace_back([this] { helperMain(); });
+        for (size_t b = 1; b < banks; ++b)
+            h.queue.push_back(&parts[b]);
+        h.queued.store(h.queue.size(), std::memory_order_relaxed);
+    }
+    h.work_cv.notify_all();
+
+    parts[0].state = BankPart::State::Running;
+    runPart(parts[0]);
+    // Take back every part no helper has started yet.
+    for (size_t b = 1; b < banks; ++b) {
+        {
+            std::lock_guard<std::mutex> lock(h.mu);
+            if (parts[b].state != BankPart::State::Queued)
+                continue;
+            h.queue.erase(
+                std::find(h.queue.begin(), h.queue.end(), &parts[b]));
+            h.queued.store(h.queue.size(), std::memory_order_relaxed);
+            parts[b].state = BankPart::State::Running;
+        }
+        runPart(parts[b]);
+        std::lock_guard<std::mutex> lock(h.mu);
+        parts[b].state = BankPart::State::Done;
+    }
+    {
+        std::unique_lock<std::mutex> lock(h.mu);
+        h.done_cv.wait(lock, [&] {
+            return std::all_of(parts.begin() + 1, parts.end(),
+                               [](const BankPart &p) {
+                                   return p.state ==
+                                          BankPart::State::Done;
+                               });
+        });
+    }
+    for (const BankPart &p : parts)
+        if (p.error)
+            std::rethrow_exception(p.error);
+}
+
+void
+StreamExecutor::runPart(BankPart &part)
+{
+    try {
+        for (const PreparedInstr &pi : *part.prog)
+            execOn(part.device, pi, part.bank);
+    } catch (...) {
+        part.error = std::current_exception();
+    }
+}
+
+void
+StreamExecutor::helperMain()
+{
+    // A job's parts follow each other closely (the next stream is
+    // usually queued already). A helper that sleeps in between is
+    // often woken onto the worker's own core, where it cannot start
+    // before the worker takes its part back; spinning (and yielding)
+    // for up to a millisecond keeps it on a core of its own.
+    constexpr auto kSpin = std::chrono::milliseconds(1);
+    Helpers &h = *helpers_;
+    std::unique_lock<std::mutex> lock(h.mu);
+    while (!h.stop) {
+        if (h.queue.empty()) {
+            // Spin first after every wake-up too: a wake-up that finds
+            // its part taken back must not put the helper straight to
+            // sleep again.
+            lock.unlock();
+            const auto until = std::chrono::steady_clock::now() + kSpin;
+            while (h.queued.load(std::memory_order_relaxed) == 0 &&
+                   std::chrono::steady_clock::now() < until)
+                std::this_thread::yield();
+            lock.lock();
+            if (h.queue.empty() && !h.stop)
+                h.work_cv.wait(lock);
+            continue;
+        }
+        BankPart *part = h.queue.front();
+        h.queue.pop_front();
+        h.queued.store(h.queue.size(), std::memory_order_relaxed);
+        part->state = BankPart::State::Running;
+        lock.unlock();
+        runPart(*part);
+        lock.lock();
+        part->state = BankPart::State::Done;
+        h.done_cv.notify_all();
     }
 }
 
@@ -1262,39 +1542,40 @@ StreamExecutor::fallbackJob(size_t d,
 }
 
 void
-StreamExecutor::execOn(size_t d, const PreparedInstr &pi)
+StreamExecutor::execOn(size_t d, const PreparedInstr &pi, size_t bank)
 {
     const BbopInstr &in = pi.instr;
     const DeviceGroup::ShardView &dst = (*pi.dstV)[d];
     if (dst.count == 0)
         return; // this device holds no shard of the destination
+    uint64_t *host = pi.dst->hostImage.data() + dst.offset;
     switch (in.opcode) {
       case BbopOpcode::Trsp:
-        dst.proc->store(dst.handle,
-                        pi.dst->hostImage.data() + dst.offset,
-                        dst.count);
+        dst.proc->store(dst.handle, host, dst.count, bank);
         return;
       case BbopOpcode::TrspInv:
-        dst.proc->loadInto(dst.handle,
-                           pi.dst->hostImage.data() + dst.offset);
+        dst.proc->loadInto(dst.handle, host, bank);
         return;
       case BbopOpcode::Init: {
         const uint64_t imm = in.initImmediate();
-        dst.proc->fillConstant(dst.handle, imm);
-        // Each worker refreshes its own disjoint slice of the
-        // horizontal image, so the whole image is coherent once the
-        // stream completes on every device.
-        std::fill_n(pi.dst->hostImage.data() + dst.offset,
-                    dst.count, imm);
+        dst.proc->fillConstant(dst.handle, imm, bank);
+        // Each worker (each bank part) refreshes its own disjoint
+        // slice of the horizontal image, so the whole image is
+        // coherent once the stream completes on every device.
+        for (const Processor::Segment &seg : *dst.segments) {
+            if (bank == Processor::kAllBanks || seg.bank == bank)
+                std::fill_n(host, seg.lanes, imm);
+            host += seg.lanes;
+        }
         return;
       }
       case BbopOpcode::ShiftL:
         dst.proc->shiftLeft(dst.handle, (*pi.src1V)[d].handle,
-                            static_cast<size_t>(in.sel));
+                            static_cast<size_t>(in.sel), bank);
         return;
       case BbopOpcode::ShiftR:
         dst.proc->shiftRight(dst.handle, (*pi.src1V)[d].handle,
-                             static_cast<size_t>(in.sel));
+                             static_cast<size_t>(in.sel), bank);
         return;
       case BbopOpcode::Op:
         break;
@@ -1302,13 +1583,14 @@ StreamExecutor::execOn(size_t d, const PreparedInstr &pi)
 
     const auto sig = signatureOf(in.op, in.width);
     if (sig.numInputs == 1)
-        dst.proc->run(in.op, dst.handle, (*pi.src1V)[d].handle);
+        dst.proc->run(in.op, dst.handle, (*pi.src1V)[d].handle, bank);
     else if (!sig.hasSel)
         dst.proc->run(in.op, dst.handle, (*pi.src1V)[d].handle,
-                      (*pi.src2V)[d].handle);
+                      (*pi.src2V)[d].handle, bank);
     else
         dst.proc->run(in.op, dst.handle, (*pi.src1V)[d].handle,
-                      (*pi.src2V)[d].handle, (*pi.selV)[d].handle);
+                      (*pi.src2V)[d].handle, (*pi.selV)[d].handle,
+                      bank);
 }
 
 StreamResult

@@ -43,7 +43,37 @@
  *    across devices with merge() (latency = max: devices execute
  *    concurrently), plus submit-to-completion wall time.
  *  - writeObject()/readObject() synchronize (drain all pending
- *    streams) before touching host images.
+ *    streams) before touching host images, and run on the caller's
+ *    thread.
+ *  - Placement is checked at submit: an operation whose operand or
+ *    destination segments do not share one subarray on some device
+ *    is rejected with the typed PlacementError, before anything is
+ *    enqueued or committed.
+ *
+ * Threading model:
+ *  - One worker thread per device runs that device's FIFO, holding
+ *    the device lock (DeviceGroup::lockDevice) for one whole stream.
+ *    A stream is queued only on the devices that hold a shard of one
+ *    of its destinations (every device if none does).
+ *  - Bank parts: under IntegrityMode::Off, on a healthy device with
+ *    no fault mechanism active, a job whose segments span two or
+ *    more compute banks splits by bank (segment s sits in bank
+ *    s mod computeBanks; banks share no state). The worker accounts
+ *    the job's transfers and compiles its μPrograms first, in serial
+ *    order, hands every bank part but one to the host helper
+ *    threads, runs the remaining part itself, takes back any part no
+ *    helper has started, and joins the rest — all under the device
+ *    lock, before its after-job statistics snapshot. Results and
+ *    DramStats are bit-identical to the serial loop.
+ *  - hostHelperCount() = min(host cores - devices,
+ *    devices x (computeBanks - 1)), at least 0. Helpers are shared by
+ *    all devices, start on the first split job, spin for up to a
+ *    millisecond between parts, and are joined by the destructor.
+ *  - Everything else runs serially on the worker: jobs with one
+ *    bank's worth of segments, the Checksum and DualModular
+ *    integrity modes, the quarantine fallback, and jobs on a device
+ *    with a fault injector or a TRA flip probability (fault ordinals
+ *    count TRAs in serial order).
  *  - Optimizer passes (src/stream/passes.h): every submitted program
  *    — a raw instruction vector lifted to a one-segment StreamIR, or
  *    a multi-segment IR from StreamBuilder — runs through the pass
@@ -139,6 +169,24 @@ class StreamLintError : public BbopError
   public:
     explicit StreamLintError(const std::string &what)
         : BbopError(what)
+    {}
+};
+
+/**
+ * Raised by submit() when an operation's operands cannot run in one
+ * subarray on some device: a segment of an input or of the
+ * destination sits in another bank or subarray than the first
+ * input's, or the destination's rows overlap an input's. The paper's
+ * μPrograms compute between rows that share bitlines, so such a
+ * stream cannot execute; rejecting it at submit keeps the failure
+ * typed and side-effect-free (nothing is enqueued or committed).
+ * Allocate the operands of one operation back to back, with equal
+ * shapes, so the sequential allocator co-locates them.
+ */
+class PlacementError : public BbopError
+{
+  public:
+    explicit PlacementError(const std::string &what) : BbopError(what)
     {}
 };
 
@@ -611,6 +659,15 @@ class StreamExecutor : public StreamService, private BbopObjectView
     size_t workerCount() const;
 
     /**
+     * @return The number of host helper threads that run bank parts
+     *         of device jobs (see the file comment): min(host cores
+     *         - devices, devices x (computeBanks - 1)), at least 0.
+     *         Derived from the machine when the executor is built;
+     *         the threads start on the first split job.
+     */
+    size_t hostHelperCount() const;
+
+    /**
      * @return The deepest per-device queue depth any submit() has
      *         observed over the executor's lifetime.
      *
@@ -681,6 +738,8 @@ class StreamExecutor : public StreamService, private BbopObjectView
     struct Object;
     struct PreparedInstr;
     struct Worker;
+    struct BankPart;
+    struct Helpers;
 
     /** Per-device shard views of one operand, shared per object. */
     using PreparedInstrViews =
@@ -728,18 +787,60 @@ class StreamExecutor : public StreamService, private BbopObjectView
         SIMDRAM_REQUIRES(submit_mu_);
 
     /**
-     * Applies the Reject backpressure policy for a @p segments-job
-     * submission: throws StreamRejectedError unless every device
-     * queue has room for ALL of them (all-or-nothing — workers only
-     * shrink queues, so room observed here still exists at push).
+     * Applies the Reject backpressure policy to a submission whose
+     * job s goes to the devices @p targets[s]: throws
+     * StreamRejectedError unless every device queue has room for ALL
+     * of its jobs (all-or-nothing — workers only shrink queues, so
+     * room observed here still exists at push).
      * Under Block this is a no-op; the per-segment push waits
      * instead. Called with submit_mu_ held, before any commit.
      */
-    void reserveQueueSpace(size_t segments)
+    void reserveQueueSpace(
+        const std::vector<std::vector<size_t>> &targets)
         SIMDRAM_REQUIRES(submit_mu_);
 
+    /**
+     * Throws PlacementError unless instruction #@p index can run on
+     * every device holding a shard of its destination (see
+     * Processor::placementError()).
+     */
+    static void checkPlacement(const PreparedInstr &pi, size_t index);
+
+    /** @return The devices holding a shard of any destination of
+     *          @p prog; every device if none does. */
+    std::vector<size_t>
+    targetsOf(const std::vector<PreparedInstr> &prog) const;
+
     void workerMain(size_t d);
-    void execOn(size_t d, const PreparedInstr &pi);
+
+    /** Runs @p pi on device @p d, on one bank's segments or all. */
+    void execOn(size_t d, const PreparedInstr &pi,
+                size_t bank = Processor::kAllBanks);
+
+    /**
+     * @return How many bank parts device @p d's job @p prog splits
+     *         into under IntegrityMode::Off on a healthy device: the
+     *         banks holding its segments, or 1 (run it serially) when
+     *         fewer than two do, no helper exists, or a fault
+     *         mechanism is active on the device.
+     */
+    size_t bankParts(size_t d,
+                     const std::vector<PreparedInstr> &prog) const;
+
+    /**
+     * Runs @p prog on device @p d as @p banks bank parts: accounts
+     * its transfers and compiles its operations first, in serial
+     * order, then hands every part but bank 0 to the helpers, runs
+     * bank 0, takes back any part no helper has started, and joins
+     * the rest. Rethrows the first error in bank order.
+     */
+    void runSplit(size_t d, const std::vector<PreparedInstr> &prog,
+                  size_t banks);
+
+    /** Runs one bank part, recording its error. */
+    void runPart(BankPart &part);
+
+    void helperMain();
 
     /** Per-device shadow/snapshot state of one in-flight job (one
      *  execution attempt's worth of verification context). */
@@ -791,6 +892,7 @@ class StreamExecutor : public StreamService, private BbopObjectView
     DeviceGroup *group_;
     StreamExecutorOptions opts_;
     std::vector<std::unique_ptr<Worker>> workers_;
+    std::unique_ptr<Helpers> helpers_;
     /** Serializes submit()/defineObject() and the object table. */
     mutable Mutex submit_mu_;
     /** The object table, including per-object layout and cache facts. */

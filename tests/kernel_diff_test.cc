@@ -402,56 +402,5 @@ TEST(KernelDiff, ProgramWritingAnInputFallsBack)
     EXPECT_EQ(fast_sub.peekData(1), ref_sub.peekData(1));
 }
 
-/** Batched replay across segments sharing a subarray stays exact. */
-TEST(KernelDiff, ReplayBatchSharedSubarrayMatchesSerial)
-{
-    MicroProgram prog;
-    prog.inputRegions = {{"a", 2}};
-    prog.outputRegions = {{"y", 2}};
-    prog.scratchRows = 1;
-    prog.ops = {
-        MicroOp::aap(RowAddr::data(0), RowAddr::row(DualAddr::T0T1)),
-        MicroOp::aap(RowAddr::data(1), RowAddr::row(SpecialRow::T2)),
-        MicroOp::aap(RowAddr::row(TripleAddr::T0T1T2),
-                     RowAddr::data(2)),
-        MicroOp::aap(RowAddr::row(SpecialRow::T0), RowAddr::data(3)),
-        MicroOp::aap(RowAddr::data(2), RowAddr::data(4)),
-    };
-
-    const DramConfig cfg = DramConfig::forTesting(128, 64);
-    Subarray serial(cfg);
-    Subarray batched(cfg);
-    Rng rng(0xbeb);
-    for (size_t row = 0; row < 20; ++row) {
-        const BitRow v = randomRow(cfg.rowBits, rng);
-        serial.pokeData(row, v);
-        batched.pokeData(row, v);
-    }
-
-    // Two segments living in the same subarray: rows 0.. and 10.. .
-    const std::vector<uint32_t> seg0 = {0, 2, 4};
-    const std::vector<uint32_t> seg1 = {10, 12, 14};
-
-    ReplayPlan plan(prog, cfg);
-    plan.replay(serial, seg0);
-    plan.replay(serial, seg1);
-
-    std::vector<ReplayPlan::SegmentBinding> segs(2);
-    segs[0].sub = &batched;
-    segs[0].bases = seg0;
-    segs[1].sub = &batched;
-    segs[1].bases = seg1;
-    plan.replayBatch(segs);
-
-    for (size_t row = 0; row < cfg.rowsPerSubarray; ++row)
-        ASSERT_EQ(batched.peekData(row), serial.peekData(row))
-            << "data row " << row;
-    EXPECT_EQ(batched.stats().aaps, serial.stats().aaps);
-    EXPECT_DOUBLE_EQ(batched.stats().latencyNs,
-                     serial.stats().latencyNs);
-    EXPECT_DOUBLE_EQ(batched.stats().energyPj,
-                     serial.stats().energyPj);
-}
-
 } // namespace
 } // namespace simdram

@@ -7,11 +7,49 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "baseline/host_kernels.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "dram/fault_injector.h"
 #include "exec/processor.h"
+
+// Counts global operator new calls while a test asks for it (this
+// binary replaces the global allocation functions). GCC cannot see
+// that the replaced pair matches, hence the pragma.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace
+{
+std::atomic<bool> g_count_news{false};
+std::atomic<size_t> g_news{0};
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (g_count_news.load(std::memory_order_relaxed))
+        g_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace simdram
 {
@@ -593,6 +631,52 @@ TEST(Processor, FreedHandleIsPoison)
     std::vector<uint64_t> data(64, 9);
     p.store(w, data);
     EXPECT_EQ(p.load(w), data);
+}
+
+/**
+ * Steady-state replay and host transfers allocate nothing: once the
+ * μPrograms, plans and per-thread buffers exist, Add/Sub/Abs/Gt/IfElse
+ * on 4,096-lane segments, store() and loadInto() make no heap
+ * allocation (payloads are reused in place, bindings live on the
+ * stack, transposition writes straight into the caller's buffer).
+ */
+TEST(Processor, SteadyStateReplayAndTransfersAllocateNothing)
+{
+    DramConfig cfg = DramConfig::forTesting(4096, 1024);
+    cfg.computeBanks = 2;
+    Processor p(cfg);
+    const size_t n = 4 * cfg.rowBits;
+    const auto a = p.alloc(n, 16);
+    const auto b = p.alloc(n, 16);
+    const auto y = p.alloc(n, 16);
+    const auto z = p.alloc(n, 16);
+    const auto f = p.alloc(n, 1);
+    Rng rng(0xa110c);
+    std::vector<uint64_t> da(n), db(n), out(n);
+    for (size_t i = 0; i < n; ++i) {
+        da[i] = rng.next() & 0xffff;
+        db[i] = rng.next() & 0xffff;
+    }
+    auto round = [&] {
+        p.store(a, da.data(), n);
+        p.store(b, db.data(), n);
+        p.run(OpKind::Add, y, a, b);
+        p.run(OpKind::Sub, z, a, b);
+        p.run(OpKind::Abs, y, z);
+        p.run(OpKind::Gt, f, a, b);
+        p.run(OpKind::IfElse, z, a, b, f);
+        p.loadInto(y, out.data());
+        p.loadInto(z, out.data());
+    };
+    round(); // compiles μPrograms and plans, grows scratch
+    round(); // settles every row's payload
+    g_news.store(0);
+    g_count_news.store(true);
+    round();
+    g_count_news.store(false);
+    EXPECT_EQ(g_news.load(), 0u);
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_EQ(out[i], da[i] > db[i] ? da[i] : db[i]) << i;
 }
 
 } // namespace

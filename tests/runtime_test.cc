@@ -22,7 +22,9 @@
 #include "apps/tpch.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "dram/fault_injector.h"
 #include "runtime/stream_executor.h"
+#include "stream_testutil.h"
 
 namespace simdram
 {
@@ -881,6 +883,293 @@ TEST(StreamExecutor, ReleaseFreesCapacityForRedefinition)
     ex.writeObject(ids.back(), data);
     EXPECT_EQ(ex.readObject(ids.back()), data);
 }
+
+// ---------------------------------------------------------------
+// Placement is checked at submit
+// ---------------------------------------------------------------
+
+TEST(StreamExecutor, NonColocatedOperationIsRejectedAtSubmit)
+{
+    // 192 data rows per subarray hold twelve 16-bit objects, so of
+    // 64 objects defined back to back the triple (10, 11, 12) has its
+    // destination in the next subarray.
+    DeviceGroup g(DramConfig::forTesting(256, 256), 1);
+    StreamExecutor ex(g);
+    std::vector<uint16_t> ids;
+    for (int i = 0; i < 64; ++i)
+        ids.push_back(ex.defineObject(256, 16));
+    const uint16_t p = ids[0];
+    const uint16_t a = ids[10], b = ids[11], y = ids[12];
+    ex.writeObject(p, std::vector<uint64_t>(256, 1));
+
+    const std::vector<BbopInstr> stream = {
+        BbopInstr::trsp(p, 16),    BbopInstr::init(p, 16, 9),
+        BbopInstr::trspInv(p, 16), BbopInstr::trsp(a, 16),
+        BbopInstr::trsp(b, 16),
+        BbopInstr::binary(OpKind::Add, 16, y, a, b)};
+    EXPECT_THROW(ex.submit(stream), PlacementError);
+    // Rejected as a unit: nothing ran, no layout state moved.
+    EXPECT_EQ(ex.readObject(p), std::vector<uint64_t>(256, 1));
+    EXPECT_FALSE(ex.objectShape(p).vertical);
+    EXPECT_FALSE(ex.objectShape(y).vertical);
+
+    // A co-located triple still runs.
+    const uint16_t c = ids[13], e = ids[14], z = ids[15];
+    ex.writeObject(c, std::vector<uint64_t>(256, 2));
+    ex.writeObject(e, std::vector<uint64_t>(256, 3));
+    ex.submit({BbopInstr::trsp(c, 16), BbopInstr::trsp(e, 16),
+               BbopInstr::binary(OpKind::Add, 16, z, c, e),
+               BbopInstr::trspInv(z, 16)})
+        .wait();
+    EXPECT_EQ(ex.readObject(z), std::vector<uint64_t>(256, 5));
+}
+
+// ---------------------------------------------------------------
+// Bank-parallel device jobs
+// ---------------------------------------------------------------
+
+/** 128-lane rows, and subarrays large enough that every object group
+ *  of one rig co-locates in one subarray per bank. */
+DramConfig
+bankSplitCfg(size_t computeBanks)
+{
+    DramConfig cfg = DramConfig::forTesting(128, 4096);
+    cfg.banks = std::max(cfg.banks, computeBanks);
+    cfg.computeBanks = computeBanks;
+    cfg.validate();
+    return cfg;
+}
+
+/** Compares DramStats bit-exactly, doubles included. */
+void
+expectIdenticalStats(const DramStats &a, const DramStats &b,
+                     const std::string &what)
+{
+    EXPECT_EQ(a.activates, b.activates) << what;
+    EXPECT_EQ(a.multiActivates, b.multiActivates) << what;
+    EXPECT_EQ(a.precharges, b.precharges) << what;
+    EXPECT_EQ(a.aaps, b.aaps) << what;
+    EXPECT_EQ(a.aps, b.aps) << what;
+    EXPECT_EQ(a.reads, b.reads) << what;
+    EXPECT_EQ(a.writes, b.writes) << what;
+    EXPECT_EQ(a.traFaults, b.traFaults) << what;
+    EXPECT_EQ(a.latencyNs, b.latencyNs) << what;
+    EXPECT_EQ(a.energyPj, b.energyPj) << what;
+}
+
+/** Objects defined back to back, so they co-locate: four w-bit
+ *  objects, a 1-bit flag (comparison results, IfElse predicates) and
+ *  a bitcount result. */
+struct SplitGroup
+{
+    size_t width = 0;
+    size_t countBits = 0;
+    uint16_t w[4] = {};
+    uint16_t flag = 0;
+    uint16_t count = 0;
+};
+
+/** @return An instruction running @p op over group @p g. */
+BbopInstr
+splitOp(Rng &rng, const SplitGroup &g, OpKind op)
+{
+    const OpSignature sig = signatureOf(op, g.width);
+    const auto w8 = static_cast<uint8_t>(g.width);
+    const size_t i = rng.below(4);
+    const size_t j = rng.below(4);
+    size_t k = rng.below(4);
+    while (k == i || k == j)
+        k = (k + 1) % 4;
+    const uint16_t dst = sig.outWidth == g.width ? g.w[k]
+                         : sig.outWidth == 1     ? g.flag
+                                                 : g.count;
+    if (sig.hasSel)
+        return BbopInstr::predicated(op, w8, dst, g.w[i], g.w[j],
+                                     g.flag);
+    if (sig.numInputs == 1)
+        return BbopInstr::unary(op, w8, dst, g.w[i]);
+    return BbopInstr::binary(op, w8, dst, g.w[i], g.w[j]);
+}
+
+/** @return A random transposition, init or shift over group @p g. */
+BbopInstr
+splitMove(Rng &rng, const SplitGroup &g)
+{
+    const size_t pick = rng.below(6);
+    const uint16_t o = pick < 4 ? g.w[pick] : pick == 4 ? g.flag : g.count;
+    const size_t bits = pick < 4 ? g.width : pick == 4 ? 1 : g.countBits;
+    const auto b8 = static_cast<uint8_t>(bits);
+    switch (rng.below(5)) {
+      case 0:
+        return BbopInstr::trsp(o, b8);
+      case 1:
+        return BbopInstr::trspInv(o, b8);
+      case 2:
+        return BbopInstr::init(o, b8, rng.next() & ((1ULL << bits) - 1));
+      default: {
+        const size_t i = rng.below(4);
+        const size_t k = (i + 1 + rng.below(3)) % 4;
+        return BbopInstr::shift(
+            rng.below(2) == 0, static_cast<uint8_t>(g.width), g.w[k],
+            g.w[i], static_cast<uint8_t>(rng.below(g.width + 2)));
+      }
+    }
+}
+
+/** Every data row, compute cell and statistic of both rig sides. */
+void
+expectSameDevices(DeviceGroup &a, DeviceGroup &b)
+{
+    const DramConfig &cfg = a.config();
+    for (size_t d = 0; d < a.deviceCount(); ++d) {
+        const std::string dev = "device " + std::to_string(d);
+        expectIdenticalStats(a.deviceComputeStats(d),
+                             b.deviceComputeStats(d), dev + " compute");
+        expectIdenticalStats(a.deviceTransferStats(d),
+                             b.deviceTransferStats(d),
+                             dev + " transfer");
+        for (size_t k = 0; k < cfg.banks; ++k) {
+            Bank &ba = a.device(d).device().bank(k);
+            Bank &bb = b.device(d).device().bank(k);
+            for (size_t s = 0; s < cfg.subarraysPerBank; ++s) {
+                ASSERT_EQ(ba.materialized(s), bb.materialized(s));
+                if (!ba.materialized(s))
+                    continue;
+                const std::string where = dev + " bank " +
+                                          std::to_string(k) +
+                                          " subarray " +
+                                          std::to_string(s);
+                const Subarray &sa = ba.subarray(s);
+                const Subarray &sb = bb.subarray(s);
+                for (size_t r = 0; r < sa.dataRowCount(); ++r)
+                    ASSERT_EQ(sa.peekData(r), sb.peekData(r))
+                        << where << " row " << r;
+                for (SpecialRow c :
+                     {SpecialRow::T0, SpecialRow::T1, SpecialRow::T2,
+                      SpecialRow::T3, SpecialRow::DCC0P,
+                      SpecialRow::DCC1P})
+                    ASSERT_EQ(sa.peek(c), sb.peek(c)) << where;
+                expectIdenticalStats(sa.stats(), sb.stats(), where);
+            }
+        }
+    }
+}
+
+/** (compute banks, devices). */
+class BankSplitTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
+{};
+
+/**
+ * Random multi-segment programs, every operation kind at widths 8,
+ * 16 and 32 over objects of 3, 5 and 7 segments per device (so banks
+ * get unequal shares), run bank-parallel and against a reference
+ * whose devices carry an empty deterministic FaultPlan: an installed
+ * injector keeps a device on the serial path. Everything must match
+ * bit-exactly: rows, host images, statistics and every StreamResult.
+ */
+TEST_P(BankSplitTest, MatchesTheSerialPathBitExactly)
+{
+    const auto [banks, devices] = GetParam();
+    const DramConfig cfg = bankSplitCfg(banks);
+    testutil::DiffRig rig(devices, testutil::noPassesOpts(false),
+                          testutil::noPassesOpts(false), cfg);
+    for (size_t d = 0; d < devices; ++d)
+        rig.gr.setFaultInjector(
+            d, FaultInjector::deterministic(FaultPlan{}));
+    if (devices == 1) {
+        if (std::thread::hardware_concurrency() < 2)
+            GTEST_SKIP() << "one host core: no helper thread to run "
+                            "a second bank on";
+        ASSERT_GE(rig.opt.hostHelperCount(), 1u);
+    }
+
+    // The rig's share of every (operation, width) pair: the four
+    // rigs cover each pair once.
+    const size_t rigIndex = (banks == 2 ? 0 : 1) + 2 * (devices - 1);
+    Rng rng(0x5b1 + rigIndex);
+    std::vector<std::pair<OpKind, size_t>> pairs;
+    size_t index = 0;
+    for (OpKind op : everyOpKind())
+        for (size_t width : {size_t{8}, size_t{16}, size_t{32}})
+            if (index++ % 4 == rigIndex)
+                pairs.emplace_back(op, width);
+
+    std::vector<SplitGroup> groups;
+    std::vector<BbopInstr> transposeAll;
+    for (size_t segs : {size_t{3}, size_t{5}, size_t{7}}) {
+        // A partial last segment too.
+        const size_t n = segs * cfg.rowBits * devices - 37;
+        for (size_t width : {size_t{8}, size_t{16}, size_t{32}}) {
+            SplitGroup g;
+            g.width = width;
+            g.countBits = signatureOf(OpKind::Bitcount, width).outWidth;
+            for (uint16_t &o : g.w)
+                o = rig.define(n, width);
+            g.flag = rig.define(n, 1);
+            g.count = rig.define(n, g.countBits);
+            const std::pair<uint16_t, size_t> objs[] = {
+                {g.w[0], width}, {g.w[1], width}, {g.w[2], width},
+                {g.w[3], width}, {g.flag, 1},     {g.count, g.countBits}};
+            for (const auto &[o, bits] : objs) {
+                rig.write(o, randomData(n, (1ULL << bits) - 1,
+                                        rng.next()));
+                transposeAll.push_back(
+                    BbopInstr::trsp(o, static_cast<uint8_t>(bits)));
+            }
+            groups.push_back(g);
+        }
+    }
+    rig.run(transposeAll);
+
+    auto groupOfWidth = [&](size_t width) -> const SplitGroup & {
+        for (;;) {
+            const SplitGroup &g = groups[rng.below(groups.size())];
+            if (g.width == width)
+                return g;
+        }
+    };
+    size_t next = 0;
+    while (next < pairs.size()) {
+        StreamIR ir;
+        ir.segments = 1 + rng.below(3);
+        for (size_t seg = 0; seg < ir.segments; ++seg) {
+            for (size_t i = 0, len = 4 + rng.below(5); i < len; ++i) {
+                BbopInstr in;
+                if (next < pairs.size() && rng.below(2) == 0) {
+                    const auto [op, width] = pairs[next++];
+                    in = splitOp(rng, groupOfWidth(width), op);
+                } else {
+                    in = splitMove(rng, groups[rng.below(groups.size())]);
+                }
+                ir.nodes.push_back(StreamNode{in, seg, false});
+            }
+        }
+        const auto [ro, rr] = rig.runIR(ir);
+        ASSERT_EQ(ro.size(), rr.size());
+        for (size_t h = 0; h < ro.size(); ++h) {
+            const std::string what = "program handle " + std::to_string(h);
+            EXPECT_EQ(ro[h].instructions, rr[h].instructions) << what;
+            EXPECT_EQ(ro[h].attempts, rr[h].attempts) << what;
+            EXPECT_EQ(ro[h].faultsDetected, rr[h].faultsDetected) << what;
+            expectIdenticalStats(ro[h].compute, rr[h].compute,
+                                 what + " compute");
+            expectIdenticalStats(ro[h].transfer, rr[h].transfer,
+                                 what + " transfer");
+        }
+    }
+    rig.expectSameImages();
+    expectSameDevices(rig.go, rig.gr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BanksAndDevices, BankSplitTest,
+    ::testing::Combine(::testing::Values(size_t{2}, size_t{4}),
+                       ::testing::Values(size_t{1}, size_t{2})),
+    [](const auto &info) {
+        return "banks" + std::to_string(std::get<0>(info.param)) +
+               "_d" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace simdram

@@ -72,9 +72,10 @@ struct DiffRig
     std::vector<uint16_t> ids;
 
     DiffRig(size_t devices, const StreamExecutorOptions &optOpts,
-            const StreamExecutorOptions &refOpts)
-        : go(testCfg(), devices),
-          gr(testCfg(), devices),
+            const StreamExecutorOptions &refOpts,
+            const DramConfig &cfg = testCfg())
+        : go(cfg, devices),
+          gr(cfg, devices),
           opt(go, optOpts),
           ref(gr, refOpts)
     {}

@@ -87,7 +87,8 @@ TEST(TranspositionUnit, StoreLoadRoundTrip)
     for (auto &v : data)
         v = rng.next() & 0xffff;
     tu.storeVertical(sub, 5, 16, data.data(), data.size());
-    const auto back = tu.loadVertical(sub, 5, 16, data.size());
+    std::vector<uint64_t> back(data.size());
+    tu.loadVerticalInto(sub, 5, 16, back.data(), back.size());
     EXPECT_EQ(back, data);
 }
 
