@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "harness.h"
@@ -136,6 +137,50 @@ benchTranspose(bench::Harness &h)
               "transpose/e2r/ref_bitwise", "transpose/e2r/tiled");
     h.speedup("transpose r2e tiled vs bitwise ref",
               "transpose/r2e/ref_bitwise", "transpose/r2e/tiled");
+
+    // One entry per width class, through the Into entry points the
+    // transposition unit uses, each against the bitwise reference at
+    // the same width (whose cost grows with the bit count).
+    for (const size_t bits : {8, 16, 32, 64}) {
+        const std::string w = "w" + std::to_string(bits);
+        std::vector<uint64_t> ev(kN);
+        for (auto &e : ev)
+            e = rng.next() & (~0ULL >> (64 - bits));
+        std::vector<BitRow> rws(bits, BitRow(kN));
+        std::vector<BitRow *> wptrs(bits);
+        std::vector<const BitRow *> rptrs(bits);
+        for (size_t j = 0; j < bits; ++j) {
+            wptrs[j] = &rws[j];
+            rptrs[j] = &rws[j];
+        }
+        h.run("transpose/e2r/" + w + "/ref_bitwise", kN, [&] {
+            const auto r =
+                refkernel::elementsToRows(ev.data(), kN, bits, kN);
+            doNotOptimize(&r);
+        });
+        h.run("transpose/e2r/" + w, kN, [&] {
+            elementsToRowsInto(ev.data(), kN, bits, wptrs.data());
+            doNotOptimize(&rws);
+        });
+        h.run("transpose/r2e/" + w + "/ref_bitwise", kN, [&] {
+            const auto e = refkernel::rowsToElements(rws, kN);
+            doNotOptimize(&e);
+        });
+        h.run("transpose/r2e/" + w, kN, [&] {
+            rowsToElementsInto(rptrs.data(), bits, back.data(), kN);
+            doNotOptimize(&back);
+        });
+        h.speedup("transpose e2r " + w + " vs bitwise ref",
+                  "transpose/e2r/" + w + "/ref_bitwise",
+                  "transpose/e2r/" + w);
+        h.speedup("transpose r2e " + w + " vs bitwise ref",
+                  "transpose/r2e/" + w + "/ref_bitwise",
+                  "transpose/r2e/" + w);
+    }
+    // Dispatch check: a 16-bit object must cost well under a 64-bit
+    // one, or the narrow class is no longer being picked.
+    h.speedup("transpose r2e w64 vs w16", "transpose/r2e/w64",
+              "transpose/r2e/w16");
 }
 
 /** A processor with a stored 32-bit add ready to replay. */

@@ -25,6 +25,7 @@ BbopDispatcher::writeObject(uint16_t id,
     ObjectInfo &obj = object(id);
     if (data.size() != obj.elements)
         fatal("writeObject: element count mismatch");
+    checkHostData(data, obj.bits, "writeObject");
     obj.hostImage = data;
     if (obj.vertical) {
         // Keep the vertical copy coherent, as the transposition unit

@@ -50,7 +50,11 @@ class BbopDispatcher : private BbopObjectView
      */
     uint16_t defineObject(size_t elements, size_t bits);
 
-    /** Writes host data into an object's horizontal image. */
+    /**
+     * Writes host data into an object's horizontal image. Rejects an
+     * element wider than the object with a typed BbopError before
+     * any side effect (checkHostData).
+     */
     void writeObject(uint16_t id, const std::vector<uint64_t> &data);
 
     /** @return The object's current horizontal image. */

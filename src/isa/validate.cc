@@ -130,4 +130,23 @@ BbopValidator::check(const BbopInstr &in)
     vert_[in.dst] = true;
 }
 
+void
+checkHostData(const std::vector<uint64_t> &data, size_t bits,
+              const char *who)
+{
+    if (bits >= 64)
+        return;
+    uint64_t any = 0;
+    for (const uint64_t v : data)
+        any |= v;
+    if ((any >> bits) == 0)
+        return;
+    size_t i = 0;
+    while ((data[i] >> bits) == 0)
+        ++i;
+    bbopError(std::string(who) + ": element " + std::to_string(i) +
+              " is wider than the object's " + std::to_string(bits) +
+              " bits");
+}
+
 } // namespace simdram

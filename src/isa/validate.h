@@ -110,6 +110,20 @@ class BbopValidator
     std::vector<bool> vert_;
 };
 
+/**
+ * Rejects host data for an object of @p bits-bit elements: throws
+ * the typed BbopError, prefixed with @p who, if any element has a bit
+ * set at or above @p bits. This is the horizontal-side twin of
+ * bbop_init's immediate rule, and every host write into a bbop object
+ * (both writeObject entry points, the request coalescer's inputs and
+ * shared data) applies it before any side effect. A too-wide element
+ * would otherwise read back whole while its object stays horizontal,
+ * but truncated once it is transposed, so eliding a transposition
+ * (the stream cache, trsp hoisting) would change results.
+ */
+void checkHostData(const std::vector<uint64_t> &data, size_t bits,
+                   const char *who);
+
 } // namespace simdram
 
 #endif // SIMDRAM_ISA_VALIDATE_H

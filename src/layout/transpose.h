@@ -5,10 +5,15 @@
  *
  * This is the data-movement kernel inside SIMDRAM's transposition
  * unit: converting a cache line of horizontal elements into vertical
- * bit slices and back. The implementation works on 64x64 bit tiles
- * (the classic recursive swap network a hardware transposition unit
- * would implement with muxes), feeding BitRow words directly — no
- * per-bit access anywhere on the fast path.
+ * bit slices and back. The implementation works on tiles of 64
+ * elements (one BitRow word per bit row) and is classed by element
+ * width: each call picks B = 8, 16, 32 or 64 (the smallest that holds
+ * `bits`), packs the tile's elements into B words as 64/B side-by-side
+ * BxB bit blocks, and transposes all of them at once with the log2(B)
+ * stages of the classic recursive swap network a hardware
+ * transposition unit would implement with muxes. An 8-bit object
+ * therefore pays for 8 bit rows, not 64. The kernel keeps only stack
+ * state, so concurrent calls are safe.
  *
  * The Into variants operate through caller-provided row pointers so
  * the transposition unit can convert straight into (or out of) the

@@ -428,6 +428,7 @@ StreamExecutor::writeObject(uint16_t id,
     Object &obj = object(id);
     if (data.size() != obj.elements)
         fatal("StreamExecutor::writeObject: element count mismatch");
+    checkHostData(data, obj.bits, "StreamExecutor::writeObject");
     obj.hostImage = data;
     obj.cache.hasConst = false;
     if (obj.vertical) {

@@ -547,7 +547,11 @@ class StreamService
      */
     virtual void releaseObject(uint16_t id) = 0;
 
-    /** Writes host data into the object's horizontal image. */
+    /**
+     * Writes host data into the object's horizontal image. Data with
+     * an element wider than the object is a typed BbopError
+     * (checkHostData in isa/validate.h), with no side effect.
+     */
     virtual void writeObject(uint16_t id,
                              const std::vector<uint64_t> &data) = 0;
 
@@ -612,7 +616,11 @@ class StreamExecutor : public StreamService, private BbopObjectView
      */
     void releaseObject(uint16_t id) override;
 
-    /** Writes host data into an object's horizontal image (syncs). */
+    /**
+     * Writes host data into an object's horizontal image (syncs).
+     * Rejects an element wider than the object with a typed
+     * BbopError before any side effect.
+     */
     void writeObject(uint16_t id,
                      const std::vector<uint64_t> &data) override;
 

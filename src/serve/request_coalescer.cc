@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "isa/validate.h"
 
 namespace simdram
 {
@@ -99,10 +100,12 @@ RequestCoalescer::registerClass(RequestClassSpec spec)
     if (!spec.emit)
         fatal("RequestCoalescer: class '" + spec.name +
               "' has no emit callback");
-    for (const auto &s : spec.shared)
+    for (const auto &s : spec.shared) {
         if (s.size() != spec.elements)
             fatal("RequestCoalescer: class '" + spec.name +
                   "' shared data has wrong lane count");
+        checkHostData(s, spec.bits, "RequestCoalescer: shared data");
+    }
     auto cs = std::make_unique<ClassState>();
     cs->spec = std::move(spec);
     MutexLock lock(mu_);
@@ -133,10 +136,12 @@ RequestCoalescer::submit(uint32_t cls,
         fatal("RequestCoalescer: class '" + spec.name + "' takes " +
               std::to_string(spec.requestInputs) +
               " inputs, got " + std::to_string(inputs.size()));
-    for (const auto &in : inputs)
+    for (const auto &in : inputs) {
         if (in.size() != spec.elements)
             fatal("RequestCoalescer: class '" + spec.name +
                   "' input has wrong lane count");
+        checkHostData(in, spec.bits, "RequestCoalescer: input");
+    }
 
     auto st = std::make_shared<detail::RequestState>();
     st->arrival = arrival;

@@ -293,7 +293,8 @@ class RequestCoalescer
     /**
      * Registers a request class and returns its id. Call before
      * submitting requests of the class; must not race submit().
-     * Throws FatalError on malformed specs.
+     * Throws FatalError on malformed specs, and BbopError when shared
+     * data holds an element wider than `bits`.
      */
     uint32_t registerClass(RequestClassSpec spec);
 
@@ -302,7 +303,9 @@ class RequestCoalescer
      * request-input slot (each RequestClassSpec::elements long).
      * Cheap and thread-safe: the request only joins its class's open
      * batch; execution happens on the dispatcher thread. Throws
-     * FatalError on shape mismatches and RequestShedError (zero side
+     * FatalError on shape mismatches, BbopError on an input element
+     * wider than the class's `bits` (so one bad request cannot fail
+     * the batch it would join), and RequestShedError (zero side
      * effects) when the admission budget is exhausted under
      * AdmissionPolicy::Shed.
      */

@@ -2,7 +2,9 @@
  * @file
  * Golden modeled statistics: one reduced apps job (the kNN,
  * brightness and add32 parts of bench_e2e's apps workloads) through
- * the StreamExecutor on 1 and 4 devices, pinned exactly.
+ * the StreamExecutor on 1 and 4 devices, and bench_e1's μProgram-size
+ * table (the paper's μProgram study) at widths 8, 16 and 32, pinned
+ * exactly.
  *
  * The differential suites compare two paths against each other, so a
  * change to synthesis, row allocation or accounting that moves every
@@ -15,11 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "ambit/ambit_synth.h"
+#include "ops/library.h"
 #include "runtime/stream_executor.h"
 #include "stream/stream_builder.h"
+#include "uprog/allocator.h"
 
 namespace simdram
 {
@@ -239,6 +246,103 @@ TEST(Golden, FourDevicesComputeInAQuarterOfTheLatency)
     EXPECT_EQ(d4.aps, d1.aps);
     EXPECT_EQ(d4.multiActivates, d1.multiActivates);
     EXPECT_EQ(d4.latencyNs * 4, d1.latencyNs);
+}
+
+/** One row of bench_e1's μProgram-size table. */
+struct SizeRow
+{
+    OpKind op;
+    size_t width;
+    size_t aoigGates, migGates;
+    size_t ambitCmds, naiveCmds, greedyCmds;
+};
+
+/**
+ * Every paper operation at widths 8, 16 and 32 (64 is left out to
+ * keep the Debug and sanitizer jobs fast): AND/OR/NOT and MAJ/NOT
+ * gate counts, and the AAP+AP command counts of the Ambit baseline
+ * and of SIMDRAM with naive and greedy row allocation.
+ */
+constexpr SizeRow kSizeTable[] = {
+    {OpKind::Abs, 8, 49, 40, 232, 182, 146},
+    {OpKind::Abs, 16, 105, 88, 496, 398, 316},
+    {OpKind::Abs, 32, 217, 184, 1024, 830, 658},
+    {OpKind::Add, 8, 64, 24, 294, 104, 88},
+    {OpKind::Add, 16, 136, 48, 622, 208, 176},
+    {OpKind::Add, 32, 280, 96, 1278, 416, 352},
+    {OpKind::AndRed, 8, 7, 7, 29, 28, 22},
+    {OpKind::AndRed, 16, 15, 15, 61, 60, 46},
+    {OpKind::AndRed, 32, 31, 31, 125, 124, 94},
+    {OpKind::Bitcount, 8, 48, 21, 218, 98, 76},
+    {OpKind::Bitcount, 16, 115, 45, 517, 216, 157},
+    {OpKind::Bitcount, 32, 254, 93, 1136, 454, 325},
+    {OpKind::Div, 8, 656, 337, 2971, 1541, 1234},
+    {OpKind::Div, 16, 2840, 1441, 12819, 6533, 5334},
+    {OpKind::Div, 32, 11816, 5953, 53251, 26885, 22170},
+    {OpKind::Eq, 8, 31, 31, 149, 134, 107},
+    {OpKind::Eq, 16, 63, 63, 301, 270, 215},
+    {OpKind::Eq, 32, 127, 127, 605, 542, 431},
+    {OpKind::Ge, 8, 46, 46, 210, 217, 163},
+    {OpKind::Ge, 16, 94, 94, 426, 441, 331},
+    {OpKind::Ge, 32, 190, 190, 858, 889, 667},
+    {OpKind::Gt, 8, 42, 42, 192, 196, 147},
+    {OpKind::Gt, 16, 90, 90, 408, 420, 315},
+    {OpKind::Gt, 32, 186, 186, 840, 868, 651},
+    {OpKind::IfElse, 8, 24, 24, 112, 97, 81},
+    {OpKind::IfElse, 16, 48, 48, 224, 193, 161},
+    {OpKind::IfElse, 32, 96, 96, 448, 385, 321},
+    {OpKind::Max, 8, 66, 66, 303, 307, 235},
+    {OpKind::Max, 16, 138, 138, 631, 643, 491},
+    {OpKind::Max, 32, 282, 282, 1287, 1315, 1003},
+    {OpKind::Min, 8, 66, 66, 303, 307, 235},
+    {OpKind::Min, 16, 138, 138, 631, 643, 491},
+    {OpKind::Min, 32, 282, 282, 1287, 1315, 1003},
+    {OpKind::Mul, 8, 234, 120, 1042, 508, 413},
+    {OpKind::Mul, 16, 1098, 496, 4858, 2104, 1777},
+    {OpKind::Mul, 32, 4746, 2016, 20938, 8560, 7385},
+    {OpKind::OrRed, 8, 7, 7, 29, 28, 22},
+    {OpKind::OrRed, 16, 15, 15, 61, 60, 46},
+    {OpKind::OrRed, 32, 31, 31, 125, 124, 94},
+    {OpKind::Relu, 8, 7, 7, 43, 30, 30},
+    {OpKind::Relu, 16, 15, 15, 91, 62, 62},
+    {OpKind::Relu, 32, 31, 31, 187, 126, 126},
+    {OpKind::Sub, 8, 65, 24, 306, 119, 95},
+    {OpKind::Sub, 16, 137, 48, 642, 239, 191},
+    {OpKind::Sub, 32, 281, 96, 1314, 479, 383},
+    {OpKind::XorRed, 8, 21, 21, 99, 91, 65},
+    {OpKind::XorRed, 16, 45, 45, 211, 195, 137},
+    {OpKind::XorRed, 32, 93, 93, 435, 403, 281},
+};
+
+TEST(Golden, MicroProgramSizeTable)
+{
+    OperationLibrary lib;
+    size_t pinned = 0;
+    for (OpKind op : kAllOps) {
+        for (size_t w : {8u, 16u, 32u}) {
+            const SizeRow *row = nullptr;
+            for (const SizeRow &r : kSizeTable)
+                if (r.op == op && r.width == w)
+                    row = &r;
+            ASSERT_NE(row, nullptr) << toString(op) << " " << w;
+            const std::string what = toString(op) + "." +
+                                     std::to_string(w);
+            const Circuit &aoig = lib.aoig(op, w);
+            const Circuit &mig = lib.mig(op, w);
+            CompileOptions naive;
+            naive.greedy = false;
+            EXPECT_EQ(aoig.topoOrder().size(), row->aoigGates) << what;
+            EXPECT_EQ(mig.topoOrder().size(), row->migGates) << what;
+            EXPECT_EQ(compileAmbit(aoig).ops.size(), row->ambitCmds)
+                << what;
+            EXPECT_EQ(compileMig(mig, naive).ops.size(), row->naiveCmds)
+                << what;
+            EXPECT_EQ(compileMig(mig).ops.size(), row->greedyCmds)
+                << what;
+            ++pinned;
+        }
+    }
+    EXPECT_EQ(pinned, std::size(kSizeTable));
 }
 
 } // namespace

@@ -353,6 +353,40 @@ TEST(ValidatorUnification, FullVerticalWritesEstablishLayout)
     EXPECT_EQ(ex.readObject(0), std::vector<uint64_t>(n, 42));
 }
 
+TEST(ValidatorUnification, WideHostDataRejectedByBothWriters)
+{
+    // One host-data rule (checkHostData) for both writeObject entry
+    // points: an element with a bit at or above the object's width
+    // is a typed BbopError and leaves the host image untouched; the
+    // widest in-range value and 64-bit objects pass.
+    const size_t n = 16;
+    const DramConfig cfg = DramConfig::forTesting(256, 512);
+    Processor proc(cfg);
+    BbopDispatcher disp(proc);
+    DeviceGroup group(cfg, 2);
+    StreamExecutor ex(group);
+    const uint16_t a = disp.defineObject(n, 8);
+    ASSERT_EQ(ex.defineObject(n, 8), a);
+    const uint16_t w = disp.defineObject(n, 64);
+    ASSERT_EQ(ex.defineObject(n, 64), w);
+
+    const std::vector<uint64_t> ok(n, 0xff);
+    disp.writeObject(a, ok);
+    ex.writeObject(a, ok);
+    std::vector<uint64_t> wide = ok;
+    wide[n - 1] = 0x100;
+    EXPECT_THROW(disp.writeObject(a, wide), BbopError);
+    EXPECT_THROW(ex.writeObject(a, wide), BbopError);
+    EXPECT_EQ(disp.readObject(a), ok);
+    EXPECT_EQ(ex.readObject(a), ok);
+
+    const std::vector<uint64_t> full(n, ~0ULL);
+    disp.writeObject(w, full);
+    ex.writeObject(w, full);
+    EXPECT_EQ(disp.readObject(w), full);
+    EXPECT_EQ(ex.readObject(w), full);
+}
+
 TEST_F(DispatcherTest, WriteKeepsVerticalCoherent)
 {
     const size_t n = 10;

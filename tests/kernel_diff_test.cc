@@ -167,34 +167,48 @@ TEST(KernelDiff, AapIntoCopies)
     }
 }
 
-TEST(KernelDiff, TransposeMatchesReferenceRandomShapes)
+/**
+ * Both Into entry points against the reference at every width from 0
+ * to 70, which covers each boundary of the width-classed kernel
+ * (7/8/9, 15/16/17, 31/32/33, 63/64/65+), and at element counts
+ * around the 64-element tile, on rows wider than the data. Target
+ * rows and elements start as all ones, so every word the kernel must
+ * write is checked; elements carry garbage above the width and rows
+ * carry data in lanes beyond n, all of which must be ignored.
+ */
+TEST(KernelDiff, TransposeMatchesReferenceEveryWidthClass)
 {
     Rng rng(0x7e7);
-    for (int round = 0; round < 60; ++round) {
-        const size_t lanes = 1 + rng.below(300);
-        const size_t n = rng.below(lanes + 1);
-        const size_t bits = rng.below(70);
+    for (const size_t n : {0, 1, 63, 64, 65, 4095, 4096}) {
+        const size_t lanes = n + 70;
         std::vector<uint64_t> elems(n);
-        const uint64_t mask =
-            bits >= 64 ? ~0ULL
-                       : (bits == 0 ? 0 : (1ULL << bits) - 1);
         for (auto &e : elems)
-            e = rng.next() & mask;
+            e = rng.next();
+        for (size_t bits = 0; bits <= 70; ++bits) {
+            std::vector<BitRow> rows(bits, BitRow(lanes, true));
+            std::vector<BitRow *> wptrs(bits);
+            for (size_t j = 0; j < bits; ++j)
+                wptrs[j] = &rows[j];
+            elementsToRowsInto(elems.data(), n, bits, wptrs.data());
+            const auto ref =
+                refkernel::elementsToRows(elems.data(), n, bits, lanes);
+            for (size_t j = 0; j < bits; ++j) {
+                ASSERT_EQ(rows[j], ref[j])
+                    << "row " << j << " n=" << n << " bits=" << bits;
+                ASSERT_TRUE(paddingClear(rows[j]));
+            }
 
-        const auto fast = elementsToRows(elems.data(), n, bits, lanes);
-        const auto ref =
-            refkernel::elementsToRows(elems.data(), n, bits, lanes);
-        ASSERT_EQ(fast.size(), ref.size());
-        for (size_t j = 0; j < fast.size(); ++j) {
-            EXPECT_EQ(fast[j], ref[j])
-                << "row " << j << " lanes=" << lanes << " n=" << n
-                << " bits=" << bits;
-            EXPECT_TRUE(paddingClear(fast[j]));
+            std::vector<BitRow> src(bits);
+            std::vector<const BitRow *> rptrs(bits);
+            for (size_t j = 0; j < bits; ++j) {
+                src[j] = randomRow(lanes, rng);
+                rptrs[j] = &src[j];
+            }
+            std::vector<uint64_t> back(n, ~0ULL);
+            rowsToElementsInto(rptrs.data(), bits, back.data(), n);
+            ASSERT_EQ(back, refkernel::rowsToElements(src, n))
+                << "n=" << n << " bits=" << bits;
         }
-
-        EXPECT_EQ(rowsToElements(fast, n),
-                  refkernel::rowsToElements(ref, n))
-            << "lanes=" << lanes << " n=" << n << " bits=" << bits;
     }
 }
 

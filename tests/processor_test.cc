@@ -75,6 +75,44 @@ TEST(Processor, StoreLoadRoundTrip)
     EXPECT_GT(p.transferStats().energyPj, 0.0);
 }
 
+TEST(Processor, StoreLoadEveryTransposeWidthClassAtAppsShape)
+{
+    // The apps' shape: 4,096-lane rows over two compute banks, with a
+    // partial last segment. Each transposition width class and its
+    // edges round-trip whole-vector and through bank-filtered parts;
+    // element bits at or above the width are dropped.
+    DramConfig cfg = DramConfig::forTesting(4096, 768);
+    cfg.computeBanks = 2;
+    const size_t n = 3 * 4096 + 100; // segments in banks 0, 1, 0, 1
+    Rng rng(0xc1a5);
+    for (const size_t bits : {1, 8, 9, 16, 17, 32, 33, 64}) {
+        SCOPED_TRACE("bits=" + std::to_string(bits));
+        const uint64_t mask = ~0ULL >> (64 - bits);
+        Processor p(cfg);
+        const auto v = p.alloc(n, bits);
+        std::vector<uint64_t> data(n), part(n), expect(n);
+        for (size_t i = 0; i < n; ++i) {
+            data[i] = rng.next();
+            part[i] = rng.next();
+        }
+        p.store(v, data);
+        for (size_t i = 0; i < n; ++i)
+            expect[i] = data[i] & mask;
+        EXPECT_EQ(p.load(v), expect);
+
+        // Bank 1's part rewrites only bank 1's segments.
+        p.store(v, part.data(), n, 1);
+        for (size_t i = 0; i < n; ++i)
+            if ((i / 4096) % 2 == 1)
+                expect[i] = part[i] & mask;
+        std::vector<uint64_t> back(n, ~0ULL);
+        p.loadInto(v, back.data(), 0);
+        p.loadInto(v, back.data(), 1);
+        EXPECT_EQ(back, expect);
+        EXPECT_EQ(p.load(v), expect);
+    }
+}
+
 TEST(Processor, AllocRejectsEmpty)
 {
     Processor p(testCfg());

@@ -204,6 +204,41 @@ TEST(Serving, ShedPathIsTypedAndSideEffectFree)
     EXPECT_EQ(co.shedRequests(), 2u);
 }
 
+TEST(Serving, WideRequestDataIsRejectedBeforeAdmission)
+{
+    // The host-data rule of both writeObject entry points, applied
+    // per request at submit: a too-wide input is a typed BbopError
+    // for its own caller, instead of failing the whole batch it
+    // would have joined.
+    DeviceGroup g(testCfg(), 1);
+    StreamExecutor ex(g);
+    RequestCoalescer co(
+        ex, CoalescerOptions{/*maxBatch=*/8,
+                             /*maxLingerUs=*/60e6,
+                             /*maxPending=*/0,
+                             AdmissionPolicy::Shed});
+    const TpchFilterSpec spec{/*rows=*/32, /*bits=*/16};
+    const uint32_t cls = co.registerClass(tpchFilterClass(spec));
+
+    const auto c0 = randomData(spec.rows, 0xfff, 1);
+    ServeFuture f0 = co.submit(cls, tpchFilterRequest(spec, c0, 100));
+    auto wide = c0;
+    wide[5] = 1ULL << spec.bits;
+    EXPECT_THROW(co.submit(cls, tpchFilterRequest(spec, wide, 100)),
+                 BbopError);
+    EXPECT_EQ(co.pendingRequests(), 1u);
+    co.flush();
+    EXPECT_EQ(f0.wait().output, tpchFilterHost(spec, c0, 100));
+    EXPECT_EQ(co.completedRequests(), 1u);
+
+    // Shared data is checked the same way at registration.
+    const KnnServeSpec kspec = knnSpec();
+    auto refs = knnRefs(kspec, 3);
+    refs[1][7] = 1ULL << kspec.bits;
+    EXPECT_THROW(co.registerClass(knnQueryClass(kspec, refs)),
+                 BbopError);
+}
+
 // ---- batching policy: deadline linger -------------------------------
 
 TEST(Serving, LingerDeadlineFlushesPartialBatchWithoutFlushCall)

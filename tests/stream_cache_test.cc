@@ -153,6 +153,56 @@ TEST_P(StreamCacheTest, EveryWriteKindInvalidates)
     rig.expectSameImages();
 }
 
+/**
+ * Host data wider than its object, with the stream cache and trsp
+ * hoisting on against both off. Accepted, 0x100 + i in an 8-bit
+ * object reads back whole wherever an elided transposition leaves
+ * the host image alone and truncated wherever one runs, so the two
+ * sides disagree in all three orderings. The write must instead be
+ * rejected with a typed BbopError before any side effect: the host
+ * image keeps its last accepted value and the entry facts stand.
+ */
+TEST_P(StreamCacheTest, WideHostDataIsRejectedWithoutSideEffects)
+{
+    const size_t n = 64;
+    const auto good = randomData(n, 0xff, 9);
+    std::vector<uint64_t> wide(n);
+    for (size_t i = 0; i < n; ++i)
+        wide[i] = 0x100 + i;
+
+    // 0: write, {trsp; trspInv}. 1: {trsp}, write, {trspInv}.
+    // 2: write, {trsp}, {trspInv}.
+    for (int order = 0; order < 3; ++order) {
+        SCOPED_TRACE("ordering " + std::to_string(order));
+        DiffRig rig(GetParam(), StreamExecutorOptions{},
+                    noPassesOpts(/*cache=*/false));
+        const uint16_t a = rig.define(n, 8);
+        rig.write(a, good);
+        const auto writeWide = [&] {
+            EXPECT_THROW(rig.opt.writeObject(a, wide), BbopError);
+            EXPECT_THROW(rig.ref.writeObject(a, wide), BbopError);
+            EXPECT_EQ(rig.opt.readObject(a), good);
+            rig.expectSameImages();
+        };
+        if (order == 0) {
+            writeWide();
+            rig.run({BbopInstr::trsp(a, 8), BbopInstr::trspInv(a, 8)});
+        } else if (order == 1) {
+            rig.run({BbopInstr::trsp(a, 8)});
+            writeWide();
+            // The rejected write left the mirror fact in place.
+            const auto r = rig.run({BbopInstr::trspInv(a, 8)});
+            EXPECT_EQ(r.first.cachedInstructions, 1u);
+        } else {
+            writeWide();
+            rig.run({BbopInstr::trsp(a, 8)});
+            rig.run({BbopInstr::trspInv(a, 8)});
+        }
+        rig.expectSameImages();
+        EXPECT_EQ(rig.opt.readObject(a), good);
+    }
+}
+
 TEST(StreamCache, DeviceGroupMutationGenerationTracksWrites)
 {
     // The cache tags entries with DeviceGroup::mutationGen(); every

@@ -29,6 +29,22 @@ TEST(Transpose64, IsInvolution)
         EXPECT_EQ(m[i], orig[i]) << i;
 }
 
+TEST(Transpose64, MovesBitJOfWordIToBitIOfWordJ)
+{
+    // One set bit pins the orientation, which IsInvolution cannot:
+    // a transpose about the anti-diagonal is an involution too.
+    for (int i = 0; i < 64; ++i) {
+        for (int j = 0; j < 64; ++j) {
+            uint64_t m[64] = {};
+            m[i] = 1ULL << j;
+            transpose64(m);
+            for (int w = 0; w < 64; ++w)
+                ASSERT_EQ(m[w], w == j ? 1ULL << i : 0)
+                    << "bit " << j << " of word " << i << ", word " << w;
+        }
+    }
+}
+
 TEST(ElementsToRows, MatchesNaivePacking)
 {
     Rng rng(2);
